@@ -199,3 +199,51 @@ func TestVerifyMatchingCatches(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyGainCacheGate derives consistent gain-cache tables for a round-
+// robin partition, then checks that a flipped candidate gate and a wrong
+// candidate count are each caught.
+func TestVerifyGainCacheGate(t *testing.T) {
+	g := testGraph(t)
+	n := g.NumVertices()
+	part := make([]int32, n)
+	for v := range part {
+		part[v] = int32(v % 4)
+	}
+	id, ed := make([]int64, n), make([]int64, n)
+	nfr, bndptr := make([]int32, n), make([]int32, n)
+	gate := make([]bool, n)
+	var bnd []int32
+	candidates := 0
+	for v := int32(0); int(v) < n; v++ {
+		adj, wgt := g.Neighbors(v)
+		for i, u := range adj {
+			if part[u] == part[v] {
+				id[v] += int64(wgt[i])
+			} else {
+				ed[v] += int64(wgt[i])
+				nfr[v]++
+			}
+		}
+		bndptr[v] = -1
+		if nfr[v] > 0 {
+			bndptr[v] = int32(len(bnd))
+			bnd = append(bnd, v)
+		}
+		if gate[v] = nfr[v] > 0 && ed[v] >= id[v]; gate[v] {
+			candidates++
+		}
+	}
+	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates); err != nil {
+		t.Fatalf("consistent tables rejected: %v", err)
+	}
+	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates+1); err == nil ||
+		!strings.Contains(err.Error(), "candidate count") {
+		t.Errorf("wrong candidate count: got %v", err)
+	}
+	gate[bnd[0]] = !gate[bnd[0]]
+	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates); err == nil ||
+		!strings.Contains(err.Error(), "candidate gate") {
+		t.Errorf("flipped gate: got %v", err)
+	}
+}

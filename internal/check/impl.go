@@ -178,13 +178,16 @@ func VerifyClusterCaps(g *graph.Graph, cmap []int32, nc int, caps []int64) error
 // tables against a from-scratch re-derivation: for every vertex, id/ed must
 // equal the summed edge weight to same-/other-subdomain neighbors, nfr the
 // foreign-neighbor count, and the bnd/bndptr pair must be a consistent
-// boundary set containing exactly the vertices with nfr > 0.
-func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bndptr []int32) error {
+// boundary set containing exactly the vertices with nfr > 0. The candidate
+// gate must be set exactly for the boundary vertices with ed >= id, and
+// candidates must count them.
+func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) error {
 	n := g.NumVertices()
-	if len(id) != n || len(ed) != n || len(nfr) != n || len(bndptr) != n {
-		return fmt.Errorf("check: gain-cache table lengths %d/%d/%d/%d, want %d",
-			len(id), len(ed), len(nfr), len(bndptr), n)
+	if len(id) != n || len(ed) != n || len(nfr) != n || len(bndptr) != n || len(gate) != n {
+		return fmt.Errorf("check: gain-cache table lengths %d/%d/%d/%d/%d, want %d",
+			len(id), len(ed), len(nfr), len(bndptr), len(gate), n)
 	}
+	gated := 0
 	inBnd := make([]bool, n)
 	for i, v := range bnd {
 		if v < 0 || int(v) >= n {
@@ -226,6 +229,16 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bnd
 		if !inBnd[v] && bndptr[v] != -1 {
 			return fmt.Errorf("check: interior vertex %d has bndptr %d, want -1", v, bndptr[v])
 		}
+		if want := wantNfr > 0 && wantED >= wantID; gate[v] != want {
+			return fmt.Errorf("check: vertex %d candidate gate %v, scratch re-derivation %v (nfr %d, ed %d, id %d)",
+				v, gate[v], want, wantNfr, wantED, wantID)
+		}
+		if gate[v] {
+			gated++
+		}
+	}
+	if candidates != gated {
+		return fmt.Errorf("check: running candidate count %d, scratch recount %d", candidates, gated)
 	}
 	return nil
 }

@@ -11,23 +11,24 @@ import (
 	"repro/internal/rng"
 )
 
-// The boundary refinement contract (DESIGN.md): the boundary-driven refiner
-// with its incremental gain cache and connectivity-row cache is pinned
-// BIT-IDENTICAL to the full-scan reference — same final labels, same cut,
-// same move count — for every graph, constraint count, k, seed, and pass
-// budget. Both consume the identical random permutation stream; only the
-// skip test and the gain gathering differ, and a cached row is only ever
-// used when it provably equals a fresh adjacency scan.
+// The boundary refinement contract (DESIGN.md): the refiner with its
+// incremental gain cache, candidate gate and connectivity-row cache is
+// pinned BIT-IDENTICAL to the full-scan reference (reference_test.go) —
+// same final labels, same cut, same move count — for every graph,
+// constraint count, k, seed, and pass budget. Both consume the identical
+// random permutation stream; only the skip test and the gain gathering
+// differ, a skipped vertex provably has no legal move, and a cached row is
+// only ever used when it provably equals a fresh adjacency scan.
 
-// runBoth refines two copies of part with the boundary-driven default and
-// the full-scan reference under identical options and RNG streams, and
-// fails the test on any divergence.
+// runBoth refines two copies of part with the production refiner and the
+// full-scan reference under identical options and RNG streams, and fails
+// the test on any divergence.
 func runBoth(t *testing.T, tag string, g *graph.Graph, part []int32, k, passes int, seed uint64, balance bool) {
 	t.Helper()
 	partA := append([]int32(nil), part...)
 	partB := append([]int32(nil), part...)
 	refA := NewRefiner(k, g.Ncon, Options{Tol: 0.05, Passes: passes})
-	refB := NewRefiner(k, g.Ncon, Options{Tol: 0.05, Passes: passes, FullScan: true})
+	refB := newReference(k, g.Ncon, Options{Tol: 0.05, Passes: passes})
 	var mvA, mvB int
 	if balance {
 		mvA = refA.Balance(g, partA, rng.New(seed))
@@ -37,55 +38,86 @@ func runBoth(t *testing.T, tag string, g *graph.Graph, part []int32, k, passes i
 		mvB = refB.Refine(g, partB, rng.New(seed))
 	}
 	if mvA != mvB {
-		t.Errorf("%s: moves diverge: boundary-driven %d, full-scan %d", tag, mvA, mvB)
+		t.Errorf("%s: moves diverge: refiner %d, reference %d", tag, mvA, mvB)
 	}
 	if cutA, cutB := refA.Cut(), refB.Cut(); cutA != cutB {
-		t.Errorf("%s: tracked cut diverges: boundary-driven %d, full-scan %d", tag, cutA, cutB)
+		t.Errorf("%s: tracked cut diverges: refiner %d, reference %d", tag, cutA, cutB)
 	}
 	if cutA, want := refA.Cut(), metrics.EdgeCut(g, partA); cutA != want {
 		t.Errorf("%s: tracked cut %d != recomputed cut %d", tag, cutA, want)
 	}
 	for v := range partA {
 		if partA[v] != partB[v] {
-			t.Fatalf("%s: labels diverge first at vertex %d: boundary-driven %d, full-scan %d",
+			t.Fatalf("%s: labels diverge first at vertex %d: refiner %d, reference %d",
 				tag, v, partA[v], partB[v])
 		}
 	}
 }
 
-// TestBoundaryDrivenMatchesFullScan sweeps a (mesh, m, k, seed, passes)
-// grid. Run under -race in CI; the meshes are kept modest for that.
-func TestBoundaryDrivenMatchesFullScan(t *testing.T) {
-	meshes := []struct {
+// zeroEdges returns a copy of g in which every edge touching a vertex
+// whose id is a multiple of 3 weighs 0. Such a vertex on the boundary has
+// id == ed == 0, the case where the candidate gate's ed >= id must admit a
+// zero-gain, balance-improving move.
+func zeroEdges(g *graph.Graph) *graph.Graph {
+	z := g.Clone()
+	for v := int32(0); int(v) < z.NumVertices(); v++ {
+		for j := z.Xadj[v]; j < z.Xadj[v+1]; j++ {
+			if v%3 == 0 || z.Adjncy[j]%3 == 0 {
+				z.Adjwgt[j] = 0
+			}
+		}
+	}
+	return z
+}
+
+// TestBoundaryDrivenMatchesReference sweeps a (graph, m, k, seed, passes)
+// grid: two meshes at m ∈ {1, 3} and k ∈ {4, 8}, plus a mesh with
+// zero-weight edges, Type 2 weights at m=5, and a power-law graph at k=32.
+// Run under -race in CI; the graphs are kept modest for that.
+func TestBoundaryDrivenMatchesReference(t *testing.T) {
+	type problem struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}
+	var problems []problem
+	for _, mesh := range []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"mrng-10x10x10", gen.MRNGLike(10, 10, 10, 5)},
 		{"mrng-16x8x6", gen.MRNGLike(16, 8, 6, 11)},
-	}
-	for _, mesh := range meshes {
+	} {
 		for _, m := range []int{1, 3} {
 			g := mesh.g
 			if m > 1 {
 				g = gen.Type1(mesh.g, m, 17)
 			}
 			for _, k := range []int{4, 8} {
-				part := initpart.RecursiveBisect(g, k, rng.New(2), initpart.Options{Tol: 0.05})
-				for _, seed := range []uint64{3, 101} {
-					for _, passes := range []int{1, 8} {
-						tag := fmt.Sprintf("%s m=%d k=%d seed=%d passes=%d", mesh.name, m, k, seed, passes)
-						runBoth(t, tag, g, part, k, passes, seed, false)
-					}
-				}
+				problems = append(problems, problem{fmt.Sprintf("%s m=%d", mesh.name, m), g, k})
+			}
+		}
+	}
+	problems = append(problems,
+		problem{"zero-edges mrng-10x10x10 m=3", gen.Type1(zeroEdges(gen.MRNGLike(10, 10, 10, 5)), 3, 17), 8},
+		problem{"type2 mrng-10x10x10 m=5", gen.Type2(gen.MRNGLike(10, 10, 10, 5), 5, 17), 8},
+		problem{"powerlaw-3000 m=2", gen.Type1(gen.PowerLaw(3000, 8, 2.5, 7), 2, 17), 32},
+	)
+	for _, p := range problems {
+		part := initpart.RecursiveBisect(p.g, p.k, rng.New(2), initpart.Options{Tol: 0.05})
+		for _, seed := range []uint64{3, 101} {
+			for _, passes := range []int{1, 8} {
+				tag := fmt.Sprintf("%s k=%d seed=%d passes=%d", p.name, p.k, seed, passes)
+				runBoth(t, tag, p.g, part, p.k, passes, seed, false)
 			}
 		}
 	}
 }
 
-// TestBoundaryBalanceMatchesFullScan pins Balance on a skewed partition,
+// TestBoundaryBalanceMatchesReference pins Balance on a skewed partition,
 // which exercises the balance pass's interior-vertex path (cached id plus
 // O(1) clean-row gathers; interior vertices stay eligible for balance moves).
-func TestBoundaryBalanceMatchesFullScan(t *testing.T) {
+func TestBoundaryBalanceMatchesReference(t *testing.T) {
 	base := gen.MRNGLike(10, 10, 10, 5)
 	for _, m := range []int{1, 3} {
 		g := base
@@ -109,7 +141,7 @@ func TestBoundaryBalanceMatchesFullScan(t *testing.T) {
 }
 
 // TestRefineAllocBudget is the committed allocation budget for the
-// boundary-driven refinement hot path: a warm Refiner (tables reserved and
+// refinement hot path: a warm Refiner (tables reserved and
 // seeded once) must refine a level allocation-free — everything it needs is
 // pooled, so the budget is only headroom for incidental runtime churn.
 func TestRefineAllocBudget(t *testing.T) {
@@ -137,10 +169,15 @@ func TestRefineAllocBudget(t *testing.T) {
 	}
 }
 
-func benchRefine(b *testing.B, fullScan bool) {
+// benchRefine times refine over a fixed problem; newRef builds either the
+// production refiner or the full-scan reference.
+func benchRefine[R interface {
+	Reserve(*graph.Graph)
+	Refine(*graph.Graph, []int32, *rng.RNG) int
+}](b *testing.B, newRef func(k, m int, opt Options) R) {
 	g := gen.Type1(gen.MRNGLike(20, 16, 16, 5), 2, 17)
 	part0 := initpart.RecursiveBisect(g, 8, rng.New(2), initpart.Options{Tol: 0.05})
-	ref := NewRefiner(8, g.Ncon, Options{Tol: 0.05, Passes: 4, FullScan: fullScan})
+	ref := newRef(8, g.Ncon, Options{Tol: 0.05, Passes: 4})
 	ref.Reserve(g)
 	part := make([]int32, len(part0))
 	b.ResetTimer()
@@ -150,5 +187,5 @@ func benchRefine(b *testing.B, fullScan bool) {
 	}
 }
 
-func BenchmarkRefineBoundary(b *testing.B) { benchRefine(b, false) }
-func BenchmarkRefineFullScan(b *testing.B) { benchRefine(b, true) }
+func BenchmarkRefineBoundary(b *testing.B)  { benchRefine(b, NewRefiner) }
+func BenchmarkRefineReference(b *testing.B) { benchRefine(b, newReference) }

@@ -10,12 +10,13 @@
 // an explicit boundary set plus per-vertex internal/external edge-weight
 // tables (the gain cache), seeded by one O(m) scan in setup and updated
 // incrementally — only the moved vertex and its neighbors — on every move.
-// A greedy pass therefore costs O(n) for the random permutation plus
-// O(degree) per *boundary* vertex, instead of the O(n + m) full scan of the
-// pre-boundary implementation. The full scan survives as Options.FullScan,
-// the reference implementation the boundary-driven refiner is pinned
-// bit-identical to (see boundary_test.go and DESIGN.md, "Boundary
-// refinement contract").
+// The cache also keeps a one-byte candidate gate per vertex, set for
+// boundary vertices with ed >= id: a vertex whose external degree is below
+// its internal degree has no row that reaches id, so no move of it can have
+// gain >= 0. A greedy pass therefore costs O(n) for the random permutation
+// plus O(degree) per *candidate*, and most boundary vertices are not
+// candidates. The refiner is pinned bit-identical to a full-scan reference
+// kept in reference_test.go (see DESIGN.md, "Boundary refinement contract").
 package kwayrefine
 
 import (
@@ -35,14 +36,6 @@ type Options struct {
 	// paper notes the iteration count is upper bounded but stops early at
 	// a local minimum.
 	Passes int
-	// FullScan selects the reference full-scan implementation: every pass
-	// visits all n vertices and re-derives each vertex's gain rows and
-	// internal degree from the adjacency list instead of consulting the
-	// boundary set and the cached tables. It exists as the bit-identity
-	// baseline for the boundary-driven default (property-tested in
-	// boundary_test.go) and as an ablation; production callers leave it
-	// false.
-	FullScan bool
 	// Stop, when non-nil, is polled at every pass boundary; once it
 	// returns true Refine/Balance return early with the moves made so
 	// far. The partitioning is always left in a consistent (if less
@@ -50,8 +43,9 @@ type Options struct {
 	Stop func() bool
 	// Trace, when non-nil, records one "refine.pass" span per refinement
 	// pass (the observability hook; see DESIGN.md, "Observability"),
-	// attributed with the boundary size at pass start and the gain-cache
-	// entries rewritten during the pass. nil disables all recording.
+	// attributed with the boundary size and candidate count at pass start
+	// and the gain-cache entries rewritten during the pass. nil disables
+	// all recording.
 	Trace *trace.Rank
 }
 
@@ -88,14 +82,17 @@ type Refiner struct {
 
 	// The gain cache: per-vertex internal (same-subdomain) and external
 	// edge weight, foreign-neighbor count, and the boundary set it induces
-	// (bndptr[v] is v's index in bnd, -1 for interior vertices). Seeded by
-	// setup with one O(m) scan; apply rewrites only the moved vertex's and
-	// its neighbors' entries.
-	id, ed  []int64
-	nfr     []int32
-	bnd     []int32
-	bndptr  []int32
-	updates int64 // gain-cache entries rewritten by apply (trace counter)
+	// (bndptr[v] is v's index in bnd, -1 for interior vertices), and the
+	// candidate gate gate[v] = nfr[v] > 0 && ed[v] >= id[v] with its running
+	// count. Seeded by setup with one O(m) scan; apply rewrites only the
+	// moved vertex's and its neighbors' entries.
+	id, ed     []int64
+	nfr        []int32
+	bnd        []int32
+	bndptr     []int32
+	gate       []bool
+	candidates int
+	updates    int64 // gain-cache entries rewritten by apply (trace counter)
 
 	// The connectivity-row cache: v's gain rows (foreign subdomain, summed
 	// edge weight) in first-occurrence adjacency order, stored at offsets
@@ -135,6 +132,7 @@ func (r *Refiner) grow(n, nnz int) {
 		r.nfr = make([]int32, 0, n)
 		r.bnd = make([]int32, 0, n)
 		r.bndptr = make([]int32, 0, n)
+		r.gate = make([]bool, 0, n)
 		r.rowLen = make([]int32, 0, n)
 	}
 	if cap(r.rowPart) < nnz {
@@ -160,6 +158,8 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 	r.nfr = r.nfr[:n]
 	r.bndptr = r.bndptr[:n]
 	r.bnd = r.bnd[:0]
+	r.gate = r.gate[:n]
+	r.candidates = 0
 	r.rowLen = r.rowLen[:n]
 	for i := range r.rowLen {
 		r.rowLen[i] = -1 // rows are re-derived lazily per level
@@ -197,6 +197,8 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 		} else {
 			r.bndptr[v] = -1
 		}
+		r.gate[v] = false
+		r.setGate(v)
 		extern += ed
 	}
 	// Every cut edge contributes its weight to both endpoints' external
@@ -230,7 +232,7 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		if r.opt.Stop != nil && r.opt.Stop() {
 			break
 		}
-		updates0 := r.updates
+		updates0, candidates0 := r.updates, r.candidates
 		if r.opt.Trace != nil {
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
@@ -246,11 +248,12 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		if r.opt.Trace != nil {
 			r.opt.Trace.End(
 				trace.I64("moves", int64(moves)),
+				trace.I64("candidates", int64(candidates0)),
 				trace.I64("gain_cache_updates", r.updates-updates0))
 		}
 		if check.Enabled {
 			check.GainCache("kwayrefine: after refine pass", g, part,
-				r.id, r.ed, r.nfr, r.bnd, r.bndptr)
+				r.id, r.ed, r.nfr, r.bnd, r.bndptr, r.gate, r.candidates)
 		}
 		if moves == 0 {
 			break
@@ -272,7 +275,7 @@ func (r *Refiner) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		total += moves
 		if check.Enabled {
 			check.GainCache("kwayrefine: after balance pass", g, part,
-				r.id, r.ed, r.nfr, r.bnd, r.bndptr)
+				r.id, r.ed, r.nfr, r.bnd, r.bndptr, r.gate, r.candidates)
 		}
 		if moves == 0 {
 			break
@@ -299,57 +302,56 @@ func (r *Refiner) imbalanced() bool {
 
 // greedyPass visits vertices in random order and applies the best
 // cut-reducing (or cut-neutral, balance-improving) legal move for each
-// boundary vertex. The permutation always covers all n vertices — the RNG
-// stream is part of the determinism contract — but the boundary-driven path
-// skips interior vertices with one O(1) boundary-set lookup where the
-// full-scan reference pays O(degree) to rediscover that they are interior.
-// Returns the number of moves.
+// candidate. The permutation always covers all n vertices — the RNG stream
+// is part of the determinism contract — but only gated vertices are
+// evaluated: one byte decides, for interior vertices and for boundary
+// vertices with ed < id alike, that greedyMove would find nothing (every
+// row weight is at most ed, so every gain is negative). Returns the number
+// of moves.
 func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	rand.Perm(r.order)
-	m := r.m
 	moves := 0
 	for _, v := range r.order {
+		if !r.gate[v] {
+			continue
+		}
 		a := part[v]
-		var id int64
-		if r.opt.FullScan {
-			var boundary bool
-			id, boundary = r.gatherScan(g, part, v)
-			if !boundary {
-				continue
-			}
-		} else {
-			if r.bndptr[v] < 0 {
-				continue // interior vertex
-			}
-			r.gatherRows(g, part, v)
-			id = r.id[v]
-		}
 		vw := g.VertexWeight(v)
-		bestB := int32(-1)
-		var bestGain int64
-		bestBal := 0.0
-		for _, b := range r.rows.Touched() {
-			gain := r.rows.Weight(b) - id
-			if gain < 0 || (bestB >= 0 && gain < bestGain) {
-				continue
-			}
-			if !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
-				continue
-			}
-			bal := r.balanceDelta(a, b, vw)
-			if gain == 0 && bal >= 0 && bestB < 0 {
-				continue // zero-gain move must strictly improve balance
-			}
-			if bestB < 0 || gain > bestGain || (gain == bestGain && bal < bestBal) {
-				bestB, bestGain, bestBal = b, gain, bal
-			}
-		}
-		if bestB >= 0 && bestB != a {
-			r.apply(g, part, v, a, bestB, vw, bestGain)
+		r.gatherRows(g, part, v)
+		if b, gain := r.greedyMove(a, vw, r.id[v]); b >= 0 {
+			r.apply(g, part, v, a, b, vw, gain)
 			moves++
 		}
 	}
 	return moves
+}
+
+// greedyMove picks, among the gathered rows of a vertex in subdomain a with
+// weight vw and internal degree id, the legal move with the largest gain
+// >= 0, ties broken by the balance change; a zero-gain move must strictly
+// improve balance. Returns -1 when no row qualifies.
+func (r *Refiner) greedyMove(a int32, vw []int32, id int64) (int32, int64) {
+	m := r.m
+	bestB := int32(-1)
+	var bestGain int64
+	bestBal := 0.0
+	for _, b := range r.rows.Touched() {
+		gain := r.rows.Weight(b) - id
+		if gain < 0 || (bestB >= 0 && gain < bestGain) {
+			continue
+		}
+		if !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
+			continue
+		}
+		bal := r.balanceDelta(a, b, vw)
+		if gain == 0 && bal >= 0 && bestB < 0 {
+			continue // zero-gain move must strictly improve balance
+		}
+		if bestB < 0 || gain > bestGain || (gain == bestGain && bal < bestBal) {
+			bestB, bestGain, bestBal = b, gain, bal
+		}
+	}
+	return bestB, bestGain
 }
 
 // balancePass drains overweight subdomains: every vertex in an overweight
@@ -357,8 +359,8 @@ func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 // (or, failing that, any) subdomain that can take it, preferring the
 // smallest cut damage. Interior vertices of overweight subdomains are
 // eligible too (they become fully exposed), so the pass cannot filter
-// through the boundary set; it does use the cache to skip the adjacency
-// scan for them. Returns the number of moves.
+// through the boundary set or the candidate gate; it does use the cache to
+// skip the adjacency scan for them. Returns the number of moves.
 func (r *Refiner) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	rand.Perm(r.order)
 	m := r.m
@@ -369,34 +371,11 @@ func (r *Refiner) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 			continue
 		}
 		vw := g.VertexWeight(v)
-		var id int64
-		if r.opt.FullScan {
-			id, _ = r.gatherScan(g, part, v)
-		} else {
-			// Interior vertices (overweight subdomains may drain them too)
-			// gather an empty row set — O(1) when the cache entry is clean.
-			r.gatherRows(g, part, v)
-			id = r.id[v]
-		}
-		bestB := int32(-1)
-		var bestGain int64
-		bestBal := 0.0
-		for _, b := range r.rows.Touched() {
-			if gain := r.rows.Weight(b) - id; r.tryCandidate(a, b, vw, gain, &bestB, &bestGain, &bestBal) {
-			}
-		}
-		if bestB < 0 {
-			// No adjacent subdomain can take v: consider all subdomains
-			// (gain is then -id: v becomes fully exposed).
-			for b := int32(0); int(b) < r.k; b++ {
-				if b == a || r.rows.Marked(v, b) {
-					continue
-				}
-				r.tryCandidate(a, b, vw, -id, &bestB, &bestGain, &bestBal)
-			}
-		}
-		if bestB >= 0 {
-			r.apply(g, part, v, a, bestB, vw, bestGain)
+		// Interior vertices (overweight subdomains may drain them too)
+		// gather an empty row set — O(1) when the cache entry is clean.
+		r.gatherRows(g, part, v)
+		if b, gain := r.balanceMove(v, a, vw, r.id[v]); b >= 0 {
+			r.apply(g, part, v, a, b, vw, gain)
 			moves++
 			if !vecw.AnyOver(r.pwgts[int(a)*m:(int(a)+1)*m], r.limit[int(a)*m:(int(a)+1)*m]) &&
 				!r.imbalanced() {
@@ -407,30 +386,50 @@ func (r *Refiner) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	return moves
 }
 
+// balanceMove picks the balance-improving move for v (in subdomain a, weight
+// vw, internal degree id) with the best gain among the gathered adjacent
+// rows or, when none can take v, among all other subdomains (gain is then
+// -id: v becomes fully exposed). Returns -1 when no move is legal.
+func (r *Refiner) balanceMove(v, a int32, vw []int32, id int64) (int32, int64) {
+	bestB := int32(-1)
+	var bestGain int64
+	bestBal := 0.0
+	for _, b := range r.rows.Touched() {
+		r.tryCandidate(a, b, vw, r.rows.Weight(b)-id, &bestB, &bestGain, &bestBal)
+	}
+	if bestB < 0 {
+		for b := int32(0); int(b) < r.k; b++ {
+			if b == a || r.rows.Marked(v, b) {
+				continue
+			}
+			r.tryCandidate(a, b, vw, -id, &bestB, &bestGain, &bestBal)
+		}
+	}
+	return bestB, bestGain
+}
+
 // tryCandidate updates the running best (b, gain) if moving v (weight vw)
 // from a to b is legal and better: balance improvement first, then gain.
-func (r *Refiner) tryCandidate(a, b int32, vw []int32, gain int64, bestB *int32, bestGain *int64, bestBal *float64) bool {
+func (r *Refiner) tryCandidate(a, b int32, vw []int32, gain int64, bestB *int32, bestGain *int64, bestBal *float64) {
 	m := r.m
 	if !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
-		return false
+		return
 	}
 	bal := r.balanceDelta(a, b, vw)
 	if bal >= 0 {
-		return false // must strictly improve balance in a balance pass
+		return // must strictly improve balance in a balance pass
 	}
 	if *bestB < 0 || gain > *bestGain || (gain == *bestGain && bal < *bestBal) {
 		*bestB, *bestGain, *bestBal = b, gain, bal
-		return true
 	}
-	return false
 }
 
 // gatherRows loads v's gain rows into r.rows: from the connectivity-row
 // cache when the entry is clean (O(rows), typically a handful of entries),
 // else by scanning the adjacency list and refreshing the cache (O(degree)).
-// The internal degree is not recomputed either way — boundary-driven
-// callers read the cached r.id[v], which apply keeps equal to what a scan
-// would yield (mcdebug validates the equality after every pass).
+// The internal degree is not recomputed either way — callers read the
+// cached r.id[v], which apply keeps equal to what a scan would yield
+// (mcdebug validates the equality after every pass).
 func (r *Refiner) gatherRows(g *graph.Graph, part []int32, v int32) {
 	r.rows.Clear()
 	base := g.Xadj[v]
@@ -456,29 +455,13 @@ func (r *Refiner) gatherRows(g *graph.Graph, part []int32, v int32) {
 	r.updates += int64(len(touched))
 }
 
-// gatherScan is the full-scan reference gather: rows plus a from-scratch
-// internal degree, with boundary-ness decided by the scan rather than the
-// boundary set. Exactly the pre-boundary implementation's per-vertex work.
-func (r *Refiner) gatherScan(g *graph.Graph, part []int32, v int32) (id int64, boundary bool) {
-	r.rows.Clear()
-	a := part[v]
-	adj, wgt := g.Neighbors(v)
-	for i, u := range adj {
-		if b := part[u]; b != a {
-			r.rows.Add(v, b, int64(wgt[i]))
-		} else {
-			id += int64(wgt[i])
-		}
-	}
-	return id, len(r.rows.Touched()) > 0
-}
-
 // apply commits the move of v (weight vw, cut reduction gain) from a to b
 // and repairs the gain cache: v's own id/ed/nfr are rebuilt from its
 // adjacency, each neighbor's entry is adjusted by the edge it shares with v,
-// and boundary membership is updated where a foreign-neighbor count crossed
-// zero. O(degree(v)) total — the incremental update that makes
-// boundary-driven passes sound.
+// boundary membership is updated where a foreign-neighbor count crossed
+// zero, and the candidate gate is re-derived wherever id/ed changed.
+// O(degree(v)) total — the incremental update that makes boundary-driven
+// passes sound.
 func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32, gain int64) {
 	m := r.m
 	vecw.Move(r.pwgts[int(a)*m:(int(a)+1)*m], r.pwgts[int(b)*m:(int(b)+1)*m], vw)
@@ -503,6 +486,7 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 			if r.nfr[u] == 0 {
 				r.bndRemove(u)
 			}
+			r.setGate(u)
 		case a:
 			// v was internal to u, now foreign.
 			edv += w
@@ -513,6 +497,7 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 			if r.nfr[u] == 1 {
 				r.bndAdd(u)
 			}
+			r.setGate(u)
 		default:
 			// v was foreign to u before and after: only u's rows change.
 			edv += w
@@ -528,7 +513,21 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 	} else if r.bndptr[v] >= 0 {
 		r.bndRemove(v)
 	}
+	r.setGate(v)
 	r.updates += int64(len(adj)) + 1
+}
+
+// setGate re-derives v's candidate gate from its cached degrees and keeps
+// the running candidate count in step.
+func (r *Refiner) setGate(v int32) {
+	if gate := r.nfr[v] > 0 && r.ed[v] >= r.id[v]; gate != r.gate[v] {
+		r.gate[v] = gate
+		if gate {
+			r.candidates++
+		} else {
+			r.candidates--
+		}
+	}
 }
 
 func (r *Refiner) bndAdd(v int32) {

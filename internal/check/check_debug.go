@@ -49,6 +49,14 @@ func GainCache(where string, g *graph.Graph, part []int32, id, ed []int64, nfr, 
 	}
 }
 
+// DegreeCache panics if the parallel refiner's per-rank id/ed/nfr cache
+// disagrees with a re-derivation from the owned and ghost labels.
+func DegreeCache(where string, xadj, adjncy, adjwgt, part, ghostPart []int32, id, ed []int64, nfr []int32) {
+	if err := VerifyDegreeCache(xadj, adjncy, adjwgt, part, ghostPart, id, ed, nfr); err != nil {
+		panic("mcdebug: " + where + ": " + err.Error())
+	}
+}
+
 // Partition panics if part is not a valid k-way partitioning of g, or if
 // the supplied incremental aggregates (wantCut when >= 0, wantPwgts when
 // non-nil) disagree with a from-scratch recomputation.

@@ -27,6 +27,10 @@ func ClusterCaps(where string, g *graph.Graph, cmap []int32, nc int, caps []int6
 func GainCache(where string, g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) {
 }
 
+// DegreeCache is a no-op without the mcdebug build tag.
+func DegreeCache(where string, xadj, adjncy, adjwgt, part, ghostPart []int32, id, ed []int64, nfr []int32) {
+}
+
 // Partition is a no-op without the mcdebug build tag.
 func Partition(where string, g *graph.Graph, part []int32, k int, wantCut int64, wantPwgts []int64) {
 }

@@ -4,6 +4,7 @@
 package check_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -245,5 +246,60 @@ func TestVerifyGainCacheGate(t *testing.T) {
 	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates); err == nil ||
 		!strings.Contains(err.Error(), "candidate gate") {
 		t.Errorf("flipped gate: got %v", err)
+	}
+}
+
+// TestVerifyDegreeCache derives a consistent parallel-refiner degree cache
+// for one simulated rank that owns the first half of a graph's vertices
+// (adjacency entries into the second half act as ghosts), then checks that
+// a corrupted entry and a stale ghost label are each caught.
+func TestVerifyDegreeCache(t *testing.T) {
+	g := testGraph(t)
+	nlocal := g.NumVertices() / 2
+	labels := make([]int32, g.NumVertices())
+	for v := range labels {
+		labels[v] = int32(v % 4)
+	}
+	part, ghostPart := labels[:nlocal], append([]int32(nil), labels[nlocal:]...)
+	xadj := g.Xadj[:nlocal+1]
+	id, ed := make([]int64, nlocal), make([]int64, nlocal)
+	nfr := make([]int32, nlocal)
+	for v := 0; v < nlocal; v++ {
+		for e := xadj[v]; e < xadj[v+1]; e++ {
+			if labels[g.Adjncy[e]] == part[v] {
+				id[v] += int64(g.Adjwgt[e])
+			} else {
+				ed[v] += int64(g.Adjwgt[e])
+				nfr[v]++
+			}
+		}
+	}
+	if err := check.VerifyDegreeCache(xadj, g.Adjncy, g.Adjwgt, part, ghostPart, id, ed, nfr); err != nil {
+		t.Fatalf("consistent cache rejected: %v", err)
+	}
+	ed[nlocal/3]++
+	if err := check.VerifyDegreeCache(xadj, g.Adjncy, g.Adjwgt, part, ghostPart, id, ed, nfr); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("owned vertex %d ", nlocal/3)) {
+		t.Errorf("corrupted ed: got %v", err)
+	}
+	ed[nlocal/3]--
+	// Relabel a ghost neighbor of some owned vertex v across v's own
+	// label without applying the change to v's entry.
+relabel:
+	for v := 0; v < nlocal; v++ {
+		for e := xadj[v]; e < xadj[v+1]; e++ {
+			if slot := int(g.Adjncy[e]) - nlocal; slot >= 0 {
+				if ghostPart[slot] == part[v] {
+					ghostPart[slot] = (part[v] + 1) % 4
+				} else {
+					ghostPart[slot] = part[v]
+				}
+				break relabel
+			}
+		}
+	}
+	if err := check.VerifyDegreeCache(xadj, g.Adjncy, g.Adjwgt, part, ghostPart, id, ed, nfr); err == nil ||
+		!strings.Contains(err.Error(), "scratch re-derivation") {
+		t.Errorf("stale ghost label: got %v", err)
 	}
 }

@@ -243,6 +243,46 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bnd
 	return nil
 }
 
+// VerifyDegreeCache checks the parallel refiner's per-rank degree cache
+// against a from-scratch re-derivation. The rank owns the nlocal =
+// len(xadj)-1 vertices of the local CSR xadj/adjncy/adjwgt; an adjacency
+// entry u below nlocal is an owned vertex labelled part[u], any other
+// entry is the ghost labelled ghostPart[u-nlocal]. For every owned
+// vertex, id/ed must equal the summed edge weight to same-/other-subdomain
+// neighbors and nfr the count of other-subdomain neighbors.
+func VerifyDegreeCache(xadj, adjncy, adjwgt, part, ghostPart []int32, id, ed []int64, nfr []int32) error {
+	nlocal := len(xadj) - 1
+	if len(part) != nlocal || len(id) != nlocal || len(ed) != nlocal || len(nfr) != nlocal {
+		return fmt.Errorf("check: degree-cache lengths part %d, id %d, ed %d, nfr %d, want %d",
+			len(part), len(id), len(ed), len(nfr), nlocal)
+	}
+	for v := 0; v < nlocal; v++ {
+		a := part[v]
+		var wantID, wantED int64
+		wantNfr := int32(0)
+		for e := xadj[v]; e < xadj[v+1]; e++ {
+			u := int(adjncy[e])
+			var b int32
+			if u < nlocal {
+				b = part[u]
+			} else {
+				b = ghostPart[u-nlocal]
+			}
+			if b == a {
+				wantID += int64(adjwgt[e])
+			} else {
+				wantED += int64(adjwgt[e])
+				wantNfr++
+			}
+		}
+		if id[v] != wantID || ed[v] != wantED || nfr[v] != wantNfr {
+			return fmt.Errorf("check: owned vertex %d cached id/ed/nfr %d/%d/%d, scratch re-derivation %d/%d/%d",
+				v, id[v], ed[v], nfr[v], wantID, wantED, wantNfr)
+		}
+	}
+	return nil
+}
+
 // VerifyPartition checks that part is a valid k-way partitioning of g and,
 // when the caller supplies them, that the partitioner's incrementally
 // maintained aggregates agree with a from-scratch recomputation: wantCut

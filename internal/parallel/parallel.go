@@ -371,9 +371,10 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 // checkParallelPartition verifies, under the mcdebug build tag, one level's
 // refined distributed partitioning against a from-scratch recomputation on
 // the gathered graph: the replicated incremental subdomain weights must
-// match metrics.PartWeights, and the ghost-label-based GlobalCut must match
-// metrics.EdgeCut. Collective (Gather, AllgathervI32, GlobalCut); callers
-// gate on the build-time constant check.Enabled so all ranks participate.
+// match metrics.PartWeights, and GlobalCut, the summed cached external
+// degree, must match metrics.EdgeCut. Collective (Gather, AllgathervI32,
+// GlobalCut); callers gate on the build-time constant check.Enabled so all
+// ranks participate.
 func checkParallelPartition(c *mpi.Comm, where string, dg *pgraph.DGraph, ref *prefine.Refiner, k int) {
 	full := dg.Gather()
 	partAll, _ := c.AllgathervI32(ref.Part())

@@ -98,7 +98,7 @@ func BenchmarkBench4(b *testing.B) {
 
 			// Allocation profile of the initial-partitioning hot path on
 			// the same coarsest graph the serial pipeline partitions.
-			levels := coarsen.BuildHierarchy(g, 2000, rng.New(seed), coarsen.Options{BalancedEdge: true})
+			levels, _ := coarsen.BuildHierarchy(g, 2000, rng.New(seed), coarsen.Options{BalancedEdge: true})
 			coarsest := levels[len(levels)-1].Graph
 			const iters = 10
 			var m0, m1 runtime.MemStats

@@ -27,7 +27,7 @@ func testGraph(t *testing.T) *graph.Graph {
 
 func TestVerifyCoarseningAcceptsRealContraction(t *testing.T) {
 	g := testGraph(t)
-	levels := coarsen.BuildHierarchy(g, 100, rng.New(1), coarsen.Options{})
+	levels, _ := coarsen.BuildHierarchy(g, 100, rng.New(1), coarsen.Options{})
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened")
 	}
@@ -41,7 +41,7 @@ func TestVerifyCoarseningAcceptsRealContraction(t *testing.T) {
 
 func TestVerifyCoarseningCatches(t *testing.T) {
 	g := testGraph(t)
-	levels := coarsen.BuildHierarchy(g, 100, rng.New(1), coarsen.Options{})
+	levels, _ := coarsen.BuildHierarchy(g, 100, rng.New(1), coarsen.Options{})
 	fine, coarse, cmap := levels[0].Graph, levels[1].Graph, levels[1].CMap
 
 	for _, tc := range []struct {

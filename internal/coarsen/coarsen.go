@@ -14,14 +14,12 @@ package coarsen
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/check"
 	"repro/internal/graph"
 	"repro/internal/hier"
 	"repro/internal/lp"
 	"repro/internal/rng"
 	"repro/internal/trace"
-	"repro/internal/vecw"
 )
 
 // Scheme selects how a level groups fine vertices into coarse ones.
@@ -97,20 +95,11 @@ type Options struct {
 	MaxVertexWeight int64
 	// Workers bounds the goroutines running the coarsening kernels
 	// concurrently: matching candidate scans, contraction, and the LP
-	// cluster scheme's per-round scans. 0 or 1 selects the sequential
-	// kernels — byte-for-byte the pre-parallel code path. Any value
-	// produces a bit-identical hierarchy (and therefore identical
-	// partitions and service cache keys); only wall clock changes. See
-	// DESIGN.md, "Parallel coarsening contract".
+	// cluster scheme's per-round scans. Any value produces a bit-identical
+	// hierarchy (and therefore identical partitions and service cache
+	// keys); only wall clock changes. See DESIGN.md, "Parallel coarsening
+	// contract".
 	Workers int
-	// Plan, when non-nil, is the hierarchy memory plan the retained
-	// per-level outputs (cmap and the coarse CSR) are carved from instead
-	// of loose per-level makes, and the handle the uncoarsening loop
-	// retires levels through. Carving changes where the bytes live, never
-	// what they hold: every kernel emits identical values either way. nil
-	// keeps the legacy allocation path (the public Contract/ContractMap
-	// entry points and pre-plan callers).
-	Plan *hier.Plan
 	// Stop, when non-nil, is polled by BuildHierarchy at every level
 	// boundary; once it returns true the hierarchy is abandoned and
 	// BuildHierarchy returns nil. It is how context cancellation reaches
@@ -122,137 +111,12 @@ type Options struct {
 	Trace *trace.Rank
 }
 
-// scratch holds the reusable matching/contraction work buffers. One
-// instance sized at the finest level serves a whole BuildHierarchy run:
-// every coarser level needs strictly smaller slices of the same arrays, so
-// the per-level allocations collapse to the retained outputs (cmap and the
-// coarse CSR) only. The dedup marker is an epoch-stamped arena.Marker: one
-// generation per coarse vertex, no per-level clearing at all.
-type scratch struct {
-	match    []int32      // mate per vertex (the matchInto result)
-	order    []int32      // random visit order
-	marker   arena.Marker // parallel-edge dedup, indexed by coarse vertex
-	slot     []int32      // merged-edge buffer index of a coarse neighbor
-	bufAdj   []int32      // merged coarse edges, fine-edge capacity
-	bufWgt   []int32
-	combined []int64 // Ncon-wide tie-break accumulator
-	head     []int32 // cluster-member offsets for many-to-one contraction
-}
-
-func newScratch(n, ncon int) *scratch {
-	return &scratch{
-		match:    make([]int32, n),
-		order:    make([]int32, n),
-		slot:     make([]int32, n),
-		combined: make([]int64, ncon),
-	}
-}
-
-// edgeBuf returns the pooled merged-edge buffers with room for nnz entries.
-func (s *scratch) edgeBuf(nnz int) ([]int32, []int32) {
-	if cap(s.bufAdj) < nnz {
-		s.bufAdj = make([]int32, nnz)
-		s.bufWgt = make([]int32, nnz)
-	}
-	return s.bufAdj[:nnz], s.bufWgt[:nnz]
-}
-
-// carveCMap, carveCoarse, and carveEdges draw a level's retained arrays
-// from the hierarchy memory plan when one is active and fall back to loose
-// makes otherwise. Both sources hand back zeroed, exactly-sized memory, so
-// the kernels are oblivious to which they got.
-func carveCMap(hlv *hier.Level, n int) []int32 {
-	if hlv != nil {
-		return hlv.CMap()
-	}
-	return make([]int32, n)
-}
-
-func carveCoarse(hlv *hier.Level, cn, m int) (vwgt, xadj []int32) {
-	if hlv != nil {
-		return hlv.Coarse(cn)
-	}
-	return make([]int32, cn*m), make([]int32, cn+1)
-}
-
-func carveEdges(hlv *hier.Level, nnz int) (adjncy, adjwgt []int32) {
-	if hlv != nil {
-		return hlv.Edges(nnz)
-	}
-	return make([]int32, nnz), make([]int32, nnz)
-}
-
 // Match computes a heavy-edge matching of g. The result maps every vertex v
 // to its mate (match[v] == v for unmatched vertices), and is an involution:
 // match[match[v]] == v.
 func Match(g *graph.Graph, rand *rng.RNG, opt Options) []int32 {
-	return matchInto(g, rand, opt, newScratch(g.NumVertices(), g.Ncon))
-}
-
-// matchInto is Match writing into s.match (which is also returned). The
-// caller must not retain the result past the scratch's next reuse.
-func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch) []int32 {
-	n := g.NumVertices()
-	match := s.match[:n]
-	for i := range match {
-		match[i] = -1
-	}
-	order := s.order[:n]
-	rand.Perm(order)
-
-	combined := s.combined
-	for _, v := range order {
-		if match[v] >= 0 {
-			continue
-		}
-		adj, wgt := g.Neighbors(v)
-		vw := g.VertexWeight(v)
-		best := int32(-1)
-		bestW := int32(-1)
-		bestJag := 0.0
-		for i, u := range adj {
-			if match[u] >= 0 || u == v {
-				continue
-			}
-			if opt.MaxVertexWeight > 0 && !fitsCap(vw, g.VertexWeight(u), opt.MaxVertexWeight) {
-				continue
-			}
-			switch {
-			case wgt[i] > bestW:
-				best, bestW = u, wgt[i]
-				if opt.BalancedEdge {
-					bestJag = combinedJaggedness(combined, vw, g.VertexWeight(u))
-				}
-			case wgt[i] == bestW && opt.BalancedEdge:
-				if j := combinedJaggedness(combined, vw, g.VertexWeight(u)); j < bestJag {
-					best, bestJag = u, j
-				}
-			}
-		}
-		if best >= 0 {
-			match[v] = best
-			match[best] = v
-		} else {
-			match[v] = v
-		}
-	}
+	match, _, _ := matchInto(g, rand, opt, newScratch(1))
 	return match
-}
-
-func fitsCap(a, b []int32, cap int64) bool {
-	for i := range a {
-		if int64(a[i])+int64(b[i]) > cap {
-			return false
-		}
-	}
-	return true
-}
-
-func combinedJaggedness(scratch []int64, a, b []int32) float64 {
-	for i := range a {
-		scratch[i] = int64(a[i]) + int64(b[i])
-	}
-	return vecw.Jaggedness(scratch)
 }
 
 // Contract collapses the matched pairs of g into a coarser graph. It
@@ -260,89 +124,10 @@ func combinedJaggedness(scratch []int64, a, b []int32) float64 {
 // Coarse vertex ids are assigned in fine-vertex order (the lower endpoint
 // of each matched pair names the coarse vertex).
 func Contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
-	return contractInto(g, match, newScratch(g.NumVertices(), g.Ncon), nil)
-}
-
-// contractInto is Contract drawing its mark/slot/next work arrays from s
-// and, when hlv is non-nil, the retained outputs from the hierarchy memory
-// plan. The returned graph and cmap are retained in the hierarchy; only
-// the dedup scratch is pooled.
-func contractInto(g *graph.Graph, match []int32, s *scratch, hlv *hier.Level) (*graph.Graph, []int32) {
-	n := g.NumVertices()
-	m := g.Ncon
-	cmap := carveCMap(hlv, n)
-	cn := int32(0)
-	for v := int32(0); int(v) < n; v++ {
-		if match[v] >= v { // v is the representative of its pair (or solo)
-			cmap[v] = cn
-			cn++
-		}
-	}
-	for v := int32(0); int(v) < n; v++ {
-		if match[v] < v {
-			cmap[v] = cmap[match[v]]
-		}
-	}
-
-	cvwgt, cxadj := carveCoarse(hlv, int(cn), m)
-	for v := 0; v < n; v++ {
-		cv := int(cmap[v])
-		for c := 0; c < m; c++ {
-			cvwgt[cv*m+c] += g.Vwgt[v*m+c]
-		}
-	}
-
-	// One pass over the fine edges: coarse vertices are produced in
-	// ascending order, so their merged adjacency lists can be emitted
-	// contiguously into a pooled fine-edge-capacity buffer and the exact
-	// coarse CSR is then a prefix copy — no counting pre-pass. The
-	// epoch-stamped marker (one generation per coarse vertex) deduplicates
-	// parallel edges with no clearing between levels or passes.
-	s.marker.Grow(int(cn))
-	slot := s.slot[:cn]
-	bufAdj, bufWgt := s.edgeBuf(len(g.Adjncy))
-	cur := int32(0)
-	for v := int32(0); int(v) < n; v++ {
-		if match[v] < v {
-			continue
-		}
-		cv := cmap[v]
-		s.marker.Next()
-		cur = fillEdges(g, v, cmap, cv, &s.marker, slot, bufAdj, bufWgt, cur)
-		if match[v] != v {
-			cur = fillEdges(g, match[v], cmap, cv, &s.marker, slot, bufAdj, bufWgt, cur)
-		}
-		cxadj[cv+1] = cur
-	}
-	cadjncy, cadjwgt := carveEdges(hlv, int(cur))
-	copy(cadjncy, bufAdj[:cur])
-	copy(cadjwgt, bufWgt[:cur])
-
-	coarse := &graph.Graph{Ncon: m, Xadj: cxadj, Adjncy: cadjncy, Adjwgt: cadjwgt, Vwgt: cvwgt}
-	return coarse, cmap
-}
-
-// fillEdges appends/merges fine vertex v's edges into coarse vertex cv's
-// adjacency at buf[cur:], returning the advanced cursor. A marked coarse
-// neighbor (within cv's marker generation) has its buffer index in slot, so
-// parallel edges merge by weight in O(1).
-func fillEdges(g *graph.Graph, v int32, cmap []int32, cv int32, mk *arena.Marker, slot, bufAdj, bufWgt []int32, cur int32) int32 {
-	adj, wgt := g.Neighbors(v)
-	for i, u := range adj {
-		cu := cmap[u]
-		if cu == cv {
-			continue
-		}
-		if mk.TryMark(cu) {
-			slot[cu] = cur
-			bufAdj[cur] = cu
-			bufWgt[cur] = wgt[i]
-			cur++
-		} else {
-			bufWgt[slot[cu]] += wgt[i]
-		}
-	}
-	return cur
+	s, hlv := newScratch(1), newLevel(g)
+	cmap := hlv.CMap()
+	nc, head, members := pairClusters(match, cmap, s)
+	return contract(g, cmap, nc, head, members, s, hlv), cmap
 }
 
 // ContractMap collapses an arbitrary many-to-one cluster assignment into a
@@ -352,69 +137,14 @@ func fillEdges(g *graph.Graph, v int32, cmap []int32, cv int32, mk *arena.Marker
 // Contract's matched-pair contraction is the special case where every
 // cluster has one or two members.
 func ContractMap(g *graph.Graph, cmap []int32, nc int) *graph.Graph {
-	return contractMapInto(g, cmap, nc, newScratch(g.NumVertices(), g.Ncon), nil)
+	s := newScratch(1)
+	head, members := clusterMembers(cmap, nc, s)
+	return contract(g, cmap, nc, head, members, s, newLevel(g))
 }
 
-// contractMapInto is ContractMap drawing its work arrays from s and, when
-// hlv is non-nil, the retained coarse CSR from the hierarchy memory plan.
-// The member lists, cursors, and dedup scratch are pooled.
-func contractMapInto(g *graph.Graph, cmap []int32, nc int, s *scratch, hlv *hier.Level) *graph.Graph {
-	n := g.NumVertices()
-	m := g.Ncon
-
-	// Counting sort the fine vertices by cluster id so each coarse vertex's
-	// members are contiguous; members reuses the matching buffer, the
-	// cursor pass reuses the visit-order buffer.
-	if cap(s.head) < nc+1 {
-		s.head = make([]int32, nc+1)
-	}
-	head := s.head[:nc+1]
-	for i := range head {
-		head[i] = 0
-	}
-	for _, cv := range cmap {
-		head[cv+1]++
-	}
-	for i := 0; i < nc; i++ {
-		head[i+1] += head[i]
-	}
-	members := s.match[:n]
-	cursor := s.order[:nc]
-	copy(cursor, head[:nc])
-	for v := 0; v < n; v++ {
-		cv := cmap[v]
-		members[cursor[cv]] = int32(v)
-		cursor[cv]++
-	}
-
-	cvwgt, cxadj := carveCoarse(hlv, nc, m)
-	for v := 0; v < n; v++ {
-		cv := int(cmap[v])
-		for c := 0; c < m; c++ {
-			cvwgt[cv*m+c] += g.Vwgt[v*m+c]
-		}
-	}
-
-	// Same single-pass emission as contractInto: coarse vertices ascend, so
-	// merged adjacency lists land contiguously in the pooled fine-edge
-	// buffer and the exact CSR is a prefix copy; the epoch marker gives one
-	// dedup generation per coarse vertex with no clearing.
-	s.marker.Grow(nc)
-	slot := s.slot[:nc]
-	bufAdj, bufWgt := s.edgeBuf(len(g.Adjncy))
-	cur := int32(0)
-	for cv := int32(0); int(cv) < nc; cv++ {
-		s.marker.Next()
-		for i := head[cv]; i < head[cv+1]; i++ {
-			cur = fillEdges(g, members[i], cmap, cv, &s.marker, slot, bufAdj, bufWgt, cur)
-		}
-		cxadj[cv+1] = cur
-	}
-	cadjncy, cadjwgt := carveEdges(hlv, int(cur))
-	copy(cadjncy, bufAdj[:cur])
-	copy(cadjwgt, bufWgt[:cur])
-
-	return &graph.Graph{Ncon: m, Xadj: cxadj, Adjncy: cadjncy, Adjwgt: cadjwgt, Vwgt: cvwgt}
+// newLevel is a one-level plan for the standalone Contract and ContractMap.
+func newLevel(g *graph.Graph) *hier.Level {
+	return hier.NewPlan(g.NumVertices(), g.Ncon, len(g.Adjncy)).Begin(g.NumVertices())
 }
 
 // Level is one rung of the multilevel hierarchy: the graph at this level
@@ -479,15 +209,18 @@ func clusterCaps(g *graph.Graph, coarsenTo int, tol float64) []int64 {
 // BuildHierarchy coarsens g until it has at most coarsenTo vertices or
 // coarsening stalls (shrink factor worse than 0.95 per level, the
 // slow-coarsening cutoff). The returned slice starts with the input graph
-// (CMap nil) and ends with the coarsest graph. If opt.Stop fires at a
-// level boundary the partial hierarchy is abandoned and nil is returned.
+// (CMap nil) and ends with the coarsest graph. Every coarse level's
+// retained arrays are carved from the returned hierarchy memory plan,
+// sized from g; the uncoarsening loop retires levels through it. If
+// opt.Stop fires at a level boundary the partial hierarchy is abandoned and
+// both results are nil.
 //
 // opt.Scheme selects matching (default) or label-propagation cluster
 // grouping per level; SchemeAuto resolves to one of the two here, from the
 // finest graph's degree distribution. The matching path is bit-identical
 // to the pre-scheme pipeline: it consumes the same RNG draws in the same
 // order and touches no new state.
-func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) []Level {
+func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) ([]Level, *hier.Plan) {
 	scheme := opt.Scheme
 	if scheme == SchemeAuto {
 		scheme = SchemeMatching
@@ -499,39 +232,39 @@ func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) [
 	if tol <= 0 {
 		tol = 0.05
 	}
+	plan := hier.NewPlan(g.NumVertices(), g.Ncon, len(g.Adjncy))
 	levels := []Level{{Graph: g}}
 	cur := g
-	// One scratch sized at the finest level serves every coarser level.
-	ws := newScratch(g.NumVertices(), g.Ncon)
-	// With Workers >= 2, one worker pool (and its per-worker scratch) also
-	// serves the whole hierarchy; levels below minParallelN drop back to
-	// the sequential kernels, which emit identical bytes.
-	var ps *pscratch
-	if opt.Workers >= 2 {
-		ps = newPscratch(opt.Workers, g.Ncon)
-		defer ps.close()
-	}
+	// One scratch and one worker pool serve every level.
+	s := newScratch(opt.Workers)
+	defer s.close()
 	var lps *lp.Scratch
 	if scheme == SchemeCluster {
 		lps = lp.NewScratch()
 	}
+	tr := opt.Trace
 	for cur.NumVertices() > coarsenTo {
 		if opt.Stop != nil && opt.Stop() {
-			return nil
+			return nil, nil
 		}
-		if opt.Trace != nil {
-			opt.Trace.Begin("coarsen.level",
+		if tr != nil {
+			tr.Begin("coarsen.level",
 				trace.I64("level", int64(len(levels))),
 				trace.I64("n", int64(cur.NumVertices())),
 				trace.I64("edges", int64(cur.NumEdges())))
 		}
-		usePar := ps != nil && cur.NumVertices() >= minParallelN
+		s.workers = 1
+		if cur.NumVertices() >= minParallelN {
+			s.workers = s.pool.Workers()
+		}
+		// The matching kernels' spans record only levels on the pool.
+		ktr := tr
+		if s.workers == 1 {
+			ktr = nil
+		}
+		hlv := plan.Begin(cur.NumVertices())
 		var coarse *graph.Graph
 		var cmap []int32
-		var hlv *hier.Level
-		if opt.Plan != nil {
-			hlv = opt.Plan.Begin(cur.NumVertices())
-		}
 		if scheme == SchemeCluster {
 			caps := clusterCaps(cur, coarsenTo, tol)
 			if opt.MaxVertexWeight > 0 {
@@ -543,39 +276,31 @@ func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) [
 				Rounds:           opt.LPRounds,
 				MaxClusterWeight: caps,
 				Stop:             opt.Stop,
-				Trace:            opt.Trace,
+				Trace:            tr,
 			}
-			if usePar {
-				lpopt.Pool = ps.pool
+			if s.workers > 1 {
+				lpopt.Pool = s.pool
 			}
-			var nc int
-			cmap, nc = lp.ClusterInto(cur, rand, lpopt, lps)
-			if cmap == nil { // Stop fired mid-pass
-				if opt.Trace != nil {
-					opt.Trace.End(trace.I64("aborted", 1))
+			lcmap, nc := lp.ClusterInto(cur, rand, lpopt, lps)
+			if lcmap == nil { // Stop fired mid-pass
+				if tr != nil {
+					tr.End(trace.I64("aborted", 1))
 				}
-				return nil
+				return nil, nil
 			}
 			if check.Enabled {
-				check.ClusterCaps(fmt.Sprintf("coarsen: level %d cluster caps", len(levels)), cur, cmap, nc, caps)
+				check.ClusterCaps(fmt.Sprintf("coarsen: level %d cluster caps", len(levels)), cur, lcmap, nc, caps)
 			}
-			if opt.Trace != nil {
-				opt.Trace.Begin("lp.contract", trace.I64("clusters", int64(nc)))
+			if tr != nil {
+				tr.Begin("lp.contract", trace.I64("clusters", int64(nc)))
 			}
-			if hlv != nil {
-				// lp owns its returned cmap; move it into the plan's carved
-				// copy so retirement accounting covers every retained array.
-				carved := hlv.CMap()
-				copy(carved, cmap)
-				cmap = carved
-			}
-			if usePar {
-				coarse = contractMapParInto(cur, cmap, nc, ws, ps, hlv)
-			} else {
-				coarse = contractMapInto(cur, cmap, nc, ws, hlv)
-			}
-			if opt.Trace != nil {
-				opt.Trace.End()
+			// lp owns its returned cmap; the hierarchy keeps the plan's copy.
+			cmap = hlv.CMap()
+			copy(cmap, lcmap)
+			head, members := clusterMembers(cmap, nc, s)
+			coarse = contract(cur, cmap, nc, head, members, s, hlv)
+			if tr != nil {
+				tr.End()
 			}
 		} else {
 			// Cap coarse vertex weight at ~1/coarsenTo of the heaviest
@@ -585,61 +310,46 @@ func BuildHierarchy(g *graph.Graph, coarsenTo int, rand *rng.RNG, opt Options) [
 			if o.MaxVertexWeight == 0 {
 				var maxTot int64
 				for _, t := range cur.TotalVertexWeight() {
-					if t > maxTot {
-						maxTot = t
-					}
+					maxTot = max(maxTot, t)
 				}
 				o.MaxVertexWeight = 1 + maxTot*3/int64(2*coarsenTo)
 			}
-			var match []int32
-			if usePar {
-				if opt.Trace != nil {
-					opt.Trace.Begin("coarsen.match",
-						trace.I64("workers", int64(opt.Workers)),
-						trace.I64("n", int64(cur.NumVertices())))
-				}
-				var chunks, rescans int
-				match, chunks, rescans = matchParInto(cur, rand, o, ws, ps)
-				if opt.Trace != nil {
-					opt.Trace.End(
-						trace.I64("chunks", int64(chunks)),
-						trace.I64("rescans", int64(rescans)))
-				}
-			} else {
-				match = matchInto(cur, rand, o, ws)
+			if ktr != nil {
+				ktr.Begin("coarsen.match",
+					trace.I64("workers", int64(s.workers)),
+					trace.I64("n", int64(cur.NumVertices())))
+			}
+			match, chunks, rescans := matchInto(cur, rand, o, s)
+			if ktr != nil {
+				ktr.End(trace.I64("chunks", int64(chunks)), trace.I64("rescans", int64(rescans)))
 			}
 			if check.Enabled {
 				check.Matching(fmt.Sprintf("coarsen: level %d matching", len(levels)),
 					cur, match, o.MaxVertexWeight)
 			}
-			if usePar {
-				if opt.Trace != nil {
-					opt.Trace.Begin("coarsen.contract",
-						trace.I64("workers", int64(opt.Workers)))
-				}
-				coarse, cmap = contractParInto(cur, match, ps, hlv)
-				if opt.Trace != nil {
-					opt.Trace.End(trace.I64("coarse_n", int64(coarse.NumVertices())))
-				}
-			} else {
-				coarse, cmap = contractInto(cur, match, ws, hlv)
+			if ktr != nil {
+				ktr.Begin("coarsen.contract", trace.I64("workers", int64(s.workers)))
+			}
+			cmap = hlv.CMap()
+			nc, head, members := pairClusters(match, cmap, s)
+			coarse = contract(cur, cmap, nc, head, members, s, hlv)
+			if ktr != nil {
+				ktr.End(trace.I64("coarse_n", int64(nc)))
 			}
 		}
-		if opt.Trace != nil {
-			opt.Trace.End(
+		if tr != nil {
+			tr.End(
 				trace.I64("coarse_n", int64(coarse.NumVertices())),
 				trace.I64("coarse_edges", int64(coarse.NumEdges())))
 		}
 		if coarse.NumVertices() > cur.NumVertices()*19/20 {
 			// Diminishing returns: stop before wasting levels. The level
 			// just carved is discarded, so release its plan region too.
-			if opt.Plan != nil {
-				opt.Plan.RetireTop()
-			}
+			plan.RetireTop()
 			break
 		}
 		levels = append(levels, Level{Graph: coarse, CMap: cmap})
 		cur = coarse
 	}
-	return levels
+	return levels, plan
 }

@@ -139,7 +139,7 @@ func TestContractPreservesCut(t *testing.T) {
 
 func TestBuildHierarchyShrinks(t *testing.T) {
 	g := randomMesh(t, 3, 5)
-	levels := BuildHierarchy(g, 200, rng.New(1), Options{BalancedEdge: true})
+	levels, _ := BuildHierarchy(g, 200, rng.New(1), Options{BalancedEdge: true})
 	if len(levels) < 2 {
 		t.Fatalf("no coarsening happened: %d levels", len(levels))
 	}

@@ -66,31 +66,33 @@ func TestContractMapConservation(t *testing.T) {
 	}
 }
 
-// TestContractMapMatchesContract pins ContractMap against the matched-pair
-// Contract on the cmap the matching itself produced: same coarse CSR.
+// TestContractMapMatchesContract pins the kernel fed a cluster map
+// against the matched-pair oracle on the cmap the matching itself
+// produced: grouping the pairs by counting sort instead of by matching
+// must give the same coarse CSR at every worker count, and so must the
+// public ContractMap and Contract.
 func TestContractMapMatchesContract(t *testing.T) {
 	g := gen.Type1(gen.MRNGLike(8, 8, 8, 3), 2, 7)
-	match := Match(g, rng.New(3), Options{})
-	want, cmap := Contract(g, match)
+	match := refMatch(g, rng.New(3), Options{})
+	want, cmap := refContract(g, match)
 	nc := want.NumVertices()
-	got := ContractMap(g, cmap, nc)
-	if got.NumVertices() != nc || len(got.Adjncy) != len(want.Adjncy) {
-		t.Fatalf("shape mismatch: n %d/%d nnz %d/%d", got.NumVertices(), nc, len(got.Adjncy), len(want.Adjncy))
-	}
-	for v := 0; v <= nc; v++ {
-		if got.Xadj[v] != want.Xadj[v] {
-			t.Fatalf("xadj[%d] = %d, want %d", v, got.Xadj[v], want.Xadj[v])
+	for _, w := range kernelWorkerCounts {
+		s := newScratch(w)
+		head, members := clusterMembers(cmap, nc, s)
+		if err := graphsEqual(contract(g, cmap, nc, head, members, s, newLevel(g)), want); err != nil {
+			t.Errorf("workers=%d: %v", w, err)
 		}
+		s.close()
 	}
-	for i := range want.Adjncy {
-		if got.Adjncy[i] != want.Adjncy[i] || got.Adjwgt[i] != want.Adjwgt[i] {
-			t.Fatalf("edge %d = (%d,%d), want (%d,%d)", i, got.Adjncy[i], got.Adjwgt[i], want.Adjncy[i], want.Adjwgt[i])
-		}
+	if err := graphsEqual(ContractMap(g, cmap, nc), want); err != nil {
+		t.Errorf("ContractMap: %v", err)
 	}
-	for i := range want.Vwgt {
-		if got.Vwgt[i] != want.Vwgt[i] {
-			t.Fatalf("vwgt[%d] = %d, want %d", i, got.Vwgt[i], want.Vwgt[i])
-		}
+	got, gotCmap := Contract(g, match)
+	if err := graphsEqual(got, want); err != nil {
+		t.Errorf("Contract: %v", err)
+	}
+	if err := sliceEq("cmap", gotCmap, cmap); err != nil {
+		t.Errorf("Contract: %v", err)
 	}
 }
 
@@ -99,7 +101,7 @@ func TestContractMapMatchesContract(t *testing.T) {
 // contraction conservation, and monotone shrinkage to the target.
 func TestBuildHierarchyCluster(t *testing.T) {
 	g := gen.Type1(gen.PowerLaw(6000, 8, 2.5, 13), 2, 5)
-	levels := BuildHierarchy(g, 100, rng.New(1), Options{Scheme: SchemeCluster})
+	levels, _ := BuildHierarchy(g, 100, rng.New(1), Options{Scheme: SchemeCluster})
 	if len(levels) < 2 {
 		t.Fatal("no coarsening happened")
 	}
@@ -122,8 +124,8 @@ func TestBuildHierarchyCluster(t *testing.T) {
 // determinism: same graph, seed, and options give identical hierarchies.
 func TestBuildHierarchyClusterDeterministic(t *testing.T) {
 	g := gen.PowerLaw(4000, 8, 2.5, 21)
-	a := BuildHierarchy(g, 100, rng.New(9), Options{Scheme: SchemeCluster})
-	b := BuildHierarchy(g, 100, rng.New(9), Options{Scheme: SchemeCluster})
+	a, _ := BuildHierarchy(g, 100, rng.New(9), Options{Scheme: SchemeCluster})
+	b, _ := BuildHierarchy(g, 100, rng.New(9), Options{Scheme: SchemeCluster})
 	if len(a) != len(b) {
 		t.Fatalf("level counts differ: %d vs %d", len(a), len(b))
 	}
@@ -153,8 +155,8 @@ func TestSchemeAuto(t *testing.T) {
 	}
 
 	// Auto on a mesh must consume RNG exactly like explicit matching.
-	a := BuildHierarchy(mesh, 50, rng.New(4), Options{Scheme: SchemeAuto})
-	b := BuildHierarchy(mesh, 50, rng.New(4), Options{})
+	a, _ := BuildHierarchy(mesh, 50, rng.New(4), Options{Scheme: SchemeAuto})
+	b, _ := BuildHierarchy(mesh, 50, rng.New(4), Options{})
 	if len(a) != len(b) {
 		t.Fatalf("auto-on-mesh level count %d, matching %d", len(a), len(b))
 	}

@@ -7,20 +7,21 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lp"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
-// Kernel-level pins of the parallel-coarsening determinism contract: each
-// parallel kernel, fed the same graph and RNG stream as its sequential
-// twin, must return exactly the same bytes — match arrays, cmaps, and
-// coarse CSR graphs — for every worker count. The full-pipeline property
-// lives in the root coarsen_workers_test.go; these tests isolate one
-// kernel each so a violation names the culprit directly. All graphs here
-// are far below minParallelN, which the kernels themselves do not consult
-// (only BuildHierarchy gates on it), so the parallel code paths are
-// exercised at sizes where failures are diffable.
+// Kernel-level pins of the determinism contract: each kernel, fed the
+// same graph and RNG stream as its oracle in reference_test.go, must
+// return exactly the same bytes — match arrays, cmaps, and coarse CSR
+// graphs — at every worker count. The full-pipeline property lives in the
+// root coarsen_workers_test.go and golden_test.go; these tests isolate one
+// kernel each so a violation names the culprit directly. The graphs are
+// far below minParallelN, which only BuildHierarchy consults: a scratch
+// built for w workers runs its kernels on w workers at any size, so the
+// pooled paths are exercised where failures are diffable.
 
-var kernelWorkerCounts = []int{2, 3, 4, 8}
+var kernelWorkerCounts = []int{1, 2, 3, 4, 8}
 
 func graphsEqual(a, b *graph.Graph) error {
 	if a.Ncon != b.Ncon {
@@ -55,9 +56,9 @@ type namedGraph struct {
 	g    *graph.Graph
 }
 
-// kernelGraphs is the test matrix: a single-constraint mesh (the propose
-// fast path), a multi-constraint mesh (the generic jaggedness tie-break
-// path), and a power-law graph (hub-degree propose ranges, the rescan
+// kernelGraphs is the test matrix: a single-constraint mesh (where the
+// tie-break cannot fire), a multi-constraint mesh (the jaggedness
+// tie-break), and a power-law graph (hub-degree propose ranges, the rescan
 // stress case).
 func kernelGraphs(t *testing.T) []namedGraph {
 	t.Helper()
@@ -74,17 +75,17 @@ func TestMatchParMatchesSequential(t *testing.T) {
 		for _, balanced := range []bool{false, true} {
 			for _, maxW := range []int64{0, 40} {
 				opt := Options{BalancedEdge: balanced, MaxVertexWeight: maxW}
-				want := Match(g, rng.New(42), opt)
+				want := refMatch(g, rng.New(42), opt)
 				for _, w := range kernelWorkerCounts {
-					ps := newPscratch(w, g.Ncon)
-					got, chunks, _ := matchParInto(g, rng.New(42), opt, newScratch(g.NumVertices(), g.Ncon), ps)
-					if chunks < 1 {
+					s := newScratch(w)
+					got, chunks, _ := matchInto(g, rng.New(42), opt, s)
+					if w > 1 && chunks < 1 {
 						t.Errorf("%s workers=%d: no chunks ran", name, w)
 					}
 					if err := sliceEq("match", got, want); err != nil {
 						t.Errorf("%s workers=%d balanced=%v maxW=%d: %v", name, w, balanced, maxW, err)
 					}
-					ps.close()
+					s.close()
 				}
 			}
 		}
@@ -94,18 +95,20 @@ func TestMatchParMatchesSequential(t *testing.T) {
 func TestContractParMatchesSequential(t *testing.T) {
 	for _, kg := range kernelGraphs(t) {
 		name, g := kg.name, kg.g
-		match := Match(g, rng.New(42), Options{BalancedEdge: true, MaxVertexWeight: 60})
-		wantG, wantCmap := Contract(g, match)
+		match := refMatch(g, rng.New(42), Options{BalancedEdge: true, MaxVertexWeight: 60})
+		wantG, wantCmap := refContract(g, match)
 		for _, w := range kernelWorkerCounts {
-			ps := newPscratch(w, g.Ncon)
-			gotG, gotCmap := contractParInto(g, match, ps, nil)
+			s, hlv := newScratch(w), newLevel(g)
+			gotCmap := hlv.CMap()
+			nc, head, members := pairClusters(match, gotCmap, s)
+			gotG := contract(g, gotCmap, nc, head, members, s, hlv)
 			if err := sliceEq("cmap", gotCmap, wantCmap); err != nil {
 				t.Errorf("%s workers=%d: %v", name, w, err)
 			}
 			if err := graphsEqual(gotG, wantG); err != nil {
 				t.Errorf("%s workers=%d: coarse graph: %v", name, w, err)
 			}
-			ps.close()
+			s.close()
 		}
 	}
 }
@@ -118,14 +121,15 @@ func TestContractMapParMatchesSequential(t *testing.T) {
 			caps[c] = 1 + tot/16
 		}
 		cmap, nc := lp.Cluster(g, rng.New(9), lp.Options{MaxClusterWeight: caps})
-		want := ContractMap(g, cmap, nc)
+		want := refContractMap(g, cmap, nc)
 		for _, w := range kernelWorkerCounts {
-			ps := newPscratch(w, g.Ncon)
-			got := contractMapParInto(g, cmap, nc, newScratch(g.NumVertices(), g.Ncon), ps, nil)
+			s := newScratch(w)
+			head, members := clusterMembers(cmap, nc, s)
+			got := contract(g, cmap, nc, head, members, s, newLevel(g))
 			if err := graphsEqual(got, want); err != nil {
 				t.Errorf("%s workers=%d: coarse graph: %v", name, w, err)
 			}
-			ps.close()
+			s.close()
 		}
 	}
 }
@@ -146,27 +150,27 @@ func TestLPClusterParMatchesSequential(t *testing.T) {
 			}
 			wantCmap, wantNC := lp.Cluster(g, rng.New(5), lp.Options{MaxClusterWeight: caps})
 			for _, w := range kernelWorkerCounts {
-				pool := newPscratch(w, g.Ncon)
-				gotCmap, gotNC := lp.Cluster(g, rng.New(5), lp.Options{MaxClusterWeight: caps, Pool: pool.pool})
+				pool := par.NewPool(w)
+				gotCmap, gotNC := lp.Cluster(g, rng.New(5), lp.Options{MaxClusterWeight: caps, Pool: pool})
 				if gotNC != wantNC {
 					t.Errorf("%s workers=%d caps=%v: nc = %d, want %d", name, w, withCaps, gotNC, wantNC)
 				}
 				if err := sliceEq("cmap", gotCmap, wantCmap); err != nil {
 					t.Errorf("%s workers=%d caps=%v: %v", name, w, withCaps, err)
 				}
-				pool.close()
+				pool.Close()
 			}
 		}
 	}
 }
 
 // TestBuildHierarchyWorkersInvariant runs the whole coarsening stack — the
-// only place minParallelN, pooled scratch reuse across levels, and the
-// scheme dispatch compose — and requires identical hierarchies per worker
-// count, for both schemes.
+// only place minParallelN, scratch reuse across levels, and the scheme
+// dispatch compose — and requires identical hierarchies per worker count,
+// for both schemes.
 func TestBuildHierarchyWorkersInvariant(t *testing.T) {
 	// Both graphs start above minParallelN so at least the finest levels
-	// take the parallel kernels before the gate falls back to sequential.
+	// run on the pool before the gate drops to one worker.
 	graphs := []namedGraph{
 		{"mesh-m3", gen.Type1(gen.MRNGLike(16, 16, 16, 3), 3, 3)},
 		{"powerlaw", gen.PowerLaw(6000, 8, 2.5, 13)},
@@ -174,9 +178,9 @@ func TestBuildHierarchyWorkersInvariant(t *testing.T) {
 	for _, kg := range graphs {
 		name, g := kg.name, kg.g
 		for _, scheme := range []Scheme{SchemeMatching, SchemeCluster} {
-			want := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true})
+			want, _ := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true})
 			for _, w := range []int{2, 4} {
-				got := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true, Workers: w})
+				got, _ := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true, Workers: w})
 				if len(got) != len(want) {
 					t.Errorf("%s scheme=%v workers=%d: %d levels, want %d", name, scheme, w, len(got), len(want))
 					continue

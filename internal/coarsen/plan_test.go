@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hier"
 	"repro/internal/rng"
 )
 
@@ -19,12 +18,11 @@ func completeGraph(n int32) *graph.Graph {
 	return b.MustFinish()
 }
 
-// TestBuildHierarchyPlanIdentity is the slab-path half of the
-// worker-invariance contract: a hierarchy carved from the memory plan must
-// be byte-identical to the legacy loose-make hierarchy for every worker
-// count and both schemes. Carving changes where retained arrays live,
-// never their contents — this is what lets the plan ship with no new
-// golden files.
+// TestBuildHierarchyPlanIdentity pins the plan side of the
+// worker-invariance contract: the hierarchy every worker count carves from
+// its plan must hold the same bytes, and the plan must account for exactly
+// those bytes — the same retained total and the same peak at every worker
+// count — and release them all on retirement.
 func TestBuildHierarchyPlanIdentity(t *testing.T) {
 	graphs := []namedGraph{
 		{"mesh-m3", gen.Type1(gen.MRNGLike(16, 16, 16, 3), 3, 3)},
@@ -33,11 +31,13 @@ func TestBuildHierarchyPlanIdentity(t *testing.T) {
 	for _, kg := range graphs {
 		name, g := kg.name, kg.g
 		for _, scheme := range []Scheme{SchemeMatching, SchemeCluster} {
-			want := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true})
+			var want []Level
 			refPeak := int64(-1)
 			for _, w := range []int{0, 1, 2, 4, 8} {
-				plan := hier.NewPlan(g.NumVertices(), g.Ncon, len(g.Adjncy))
-				got := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true, Workers: w, Plan: plan})
+				got, plan := BuildHierarchy(g, 64, rng.New(2), Options{Scheme: scheme, Tol: 0.05, BalancedEdge: true, Workers: w})
+				if want == nil {
+					want = got
+				}
 				if len(got) != len(want) {
 					t.Errorf("%s scheme=%v workers=%d: %d levels, want %d", name, scheme, w, len(got), len(want))
 					continue
@@ -98,8 +98,7 @@ func TestBuildHierarchyPlanIdentity(t *testing.T) {
 // to run until the cutoff fires.
 func TestBuildHierarchyPlanStallRetires(t *testing.T) {
 	g := completeGraph(24)
-	plan := hier.NewPlan(g.NumVertices(), g.Ncon, len(g.Adjncy))
-	levels := BuildHierarchy(g, 1, rng.New(7), Options{BalancedEdge: true, Plan: plan})
+	levels, plan := BuildHierarchy(g, 1, rng.New(7), Options{BalancedEdge: true})
 	if plan.Live() != len(levels)-1 {
 		t.Fatalf("plan live %d, hierarchy coarse levels %d: discarded stall level not retired", plan.Live(), len(levels)-1)
 	}

@@ -7,21 +7,20 @@ import (
 	"repro/internal/rng"
 )
 
-// TestPooledHierarchyMatchesFresh pins the scratch-pooling contract:
-// BuildHierarchy (one pooled scratch reused across every level) must produce
-// exactly the hierarchy obtained by calling the public Match/Contract pair
-// (fresh scratch per call) with the same RNG stream and the same per-level
-// MaxVertexWeight rule. Pooling is an allocation optimization only — it must
-// never leak state between levels.
+// TestPooledHierarchyMatchesFresh pins the scratch-reuse contract:
+// BuildHierarchy (one scratch and one pool reused across every level) must
+// produce exactly the hierarchy obtained by replaying its loop with the
+// oracles (fresh buffers per call), the same RNG stream, and the same
+// per-level MaxVertexWeight rule, at every worker count. The 16^3 mesh
+// starts above minParallelN, so its finest levels run on the pool and its
+// coarse ones on one worker. Reuse is an allocation optimization only — it
+// must never leak state between levels.
 func TestPooledHierarchyMatchesFresh(t *testing.T) {
-	base := gen.MRNGLike(12, 12, 12, 3)
-	g := gen.Type1(base, 3, 7)
+	g := gen.Type1(gen.MRNGLike(16, 16, 16, 3), 3, 7)
 	const coarsenTo = 120
 	opt := Options{BalancedEdge: true}
 
-	pooled := BuildHierarchy(g, coarsenTo, rng.New(9), opt)
-
-	// Replay BuildHierarchy's loop with fresh scratch every level.
+	// Replay BuildHierarchy's loop with the oracles.
 	fresh := []Level{{Graph: g}}
 	cur := g
 	rand := rng.New(9)
@@ -34,40 +33,32 @@ func TestPooledHierarchyMatchesFresh(t *testing.T) {
 			}
 		}
 		o.MaxVertexWeight = 1 + maxTot*3/int64(2*coarsenTo)
-		match := Match(cur, rand, o)
-		coarse, cmap := Contract(cur, match)
+		match := refMatch(cur, rand, o)
+		coarse, cmap := refContract(cur, match)
 		if coarse.NumVertices() > cur.NumVertices()*19/20 {
 			break
 		}
 		fresh = append(fresh, Level{Graph: coarse, CMap: cmap})
 		cur = coarse
 	}
+	if len(fresh) < 3 {
+		t.Fatalf("hierarchy too shallow (%d levels) to exercise scratch reuse", len(fresh))
+	}
 
-	if len(pooled) != len(fresh) {
-		t.Fatalf("hierarchy depth: pooled %d, fresh %d", len(pooled), len(fresh))
-	}
-	if len(pooled) < 3 {
-		t.Fatalf("hierarchy too shallow (%d levels) to exercise scratch reuse", len(pooled))
-	}
-	for lv := range pooled {
-		p, f := pooled[lv], fresh[lv]
-		eqI32 := func(field string, a, b []int32) {
-			if len(a) != len(b) {
-				t.Fatalf("level %d %s: len %d != %d", lv, field, len(a), len(b))
+	for _, w := range kernelWorkerCounts {
+		o := opt
+		o.Workers = w
+		pooled, _ := BuildHierarchy(g, coarsenTo, rng.New(9), o)
+		if len(pooled) != len(fresh) {
+			t.Fatalf("workers=%d: hierarchy depth: pooled %d, fresh %d", w, len(pooled), len(fresh))
+		}
+		for lv := range pooled {
+			if err := graphsEqual(pooled[lv].Graph, fresh[lv].Graph); err != nil {
+				t.Fatalf("workers=%d level %d: %v", w, lv, err)
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("level %d %s[%d]: pooled %d, fresh %d", lv, field, i, a[i], b[i])
-				}
+			if err := sliceEq("cmap", pooled[lv].CMap, fresh[lv].CMap); err != nil {
+				t.Fatalf("workers=%d level %d: %v", w, lv, err)
 			}
 		}
-		if p.Graph.Ncon != f.Graph.Ncon {
-			t.Fatalf("level %d Ncon: %d != %d", lv, p.Graph.Ncon, f.Graph.Ncon)
-		}
-		eqI32("Xadj", p.Graph.Xadj, f.Graph.Xadj)
-		eqI32("Adjncy", p.Graph.Adjncy, f.Graph.Adjncy)
-		eqI32("Adjwgt", p.Graph.Adjwgt, f.Graph.Adjwgt)
-		eqI32("Vwgt", p.Graph.Vwgt, f.Graph.Vwgt)
-		eqI32("CMap", p.CMap, f.CMap)
 	}
 }

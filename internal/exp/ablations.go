@@ -224,7 +224,7 @@ func AblationInitImbalance(scale Scale, k int, seed uint64, progress io.Writer) 
 	w := MakeWorkload(spec, 3, 1, 100+seed)
 	g := w.Graph
 	rand := rng.New(seed)
-	levels := coarsen.BuildHierarchy(g, 2000, rand, coarsen.Options{BalancedEdge: true})
+	levels, _ := coarsen.BuildHierarchy(g, 2000, rand, coarsen.Options{BalancedEdge: true})
 	coarsest := levels[len(levels)-1].Graph
 
 	var rows []InitRow

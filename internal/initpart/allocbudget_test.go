@@ -25,7 +25,7 @@ func TestRecursiveBisectAllocBudget(t *testing.T) {
 		t.Fatal("mesh mrng1t not registered")
 	}
 	g := spec.Build(1*7919 + 7)
-	levels := coarsen.BuildHierarchy(g, 2000, rng.New(1), coarsen.Options{BalancedEdge: true})
+	levels, _ := coarsen.BuildHierarchy(g, 2000, rng.New(1), coarsen.Options{BalancedEdge: true})
 	coarsest := levels[len(levels)-1].Graph
 
 	const budget = 130.0

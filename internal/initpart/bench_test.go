@@ -20,7 +20,7 @@ func BenchmarkRecursiveBisect(b *testing.B) {
 		b.Fatal("mesh mrng1t not registered")
 	}
 	g := spec.Build(1*7919 + 7)
-	levels := coarsen.BuildHierarchy(g, 2000, rng.New(1), coarsen.Options{BalancedEdge: true})
+	levels, _ := coarsen.BuildHierarchy(g, 2000, rng.New(1), coarsen.Options{BalancedEdge: true})
 	coarsest := levels[len(levels)-1].Graph
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -21,7 +21,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/coarsen"
 	"repro/internal/graph"
-	"repro/internal/hier"
 	"repro/internal/initpart"
 	"repro/internal/kwayrefine"
 	"repro/internal/metrics"
@@ -186,13 +185,11 @@ func partitionOnce(ctx context.Context, g *graph.Graph, k int, opt Options, tr *
 			trace.I64("n", int64(n)),
 			trace.I64("edges", int64(g.NumEdges())))
 	}
-	plan := hier.NewPlan(n, g.Ncon, len(g.Adjncy))
-	levels := coarsen.BuildHierarchy(g, opt.CoarsenTo, rand, coarsen.Options{
+	levels, plan := coarsen.BuildHierarchy(g, opt.CoarsenTo, rand, coarsen.Options{
 		Scheme:       opt.CoarsenScheme,
 		Tol:          opt.Tol,
 		BalancedEdge: !opt.NoBalancedEdge,
 		Workers:      opt.CoarsenWorkers,
-		Plan:         plan,
 		Stop:         stop,
 		Trace:        rk,
 	})

@@ -17,7 +17,7 @@ func TestSerialLevelCuts(t *testing.T) {
 	g := gen.Type1(base, 3, 42)
 	k := 32
 	rand := rng.New(3)
-	levels := coarsen.BuildHierarchy(g, 2000, rand, coarsen.Options{BalancedEdge: true})
+	levels, _ := coarsen.BuildHierarchy(g, 2000, rand, coarsen.Options{BalancedEdge: true})
 	coarsest := levels[len(levels)-1].Graph
 	part := initpart.RecursiveBisect(coarsest, k, rand, initpart.Options{Tol: 0.05})
 	t.Logf("serial initCut=%d coarsestN=%d levels=%d", metrics.EdgeCut(coarsest, part), coarsest.NumVertices(), len(levels))

@@ -171,17 +171,18 @@ func pair(match []int32, v, u int32) {
 // the choice, and an edge no heavier than the best so far is skipped
 // unread.
 func bestMate(g *graph.Graph, opt Options, match []int32, v int32) int32 {
-	m := g.Ncon
+	m, vwgt, maxW := g.Ncon, g.Vwgt, opt.MaxVertexWeight
 	balanced := opt.BalancedEdge && m > 1
-	vw := g.Vwgt[int(v)*m : int(v+1)*m]
+	vw := vwgt[int(v)*m : int(v+1)*m]
+	wgt := g.Adjwgt[g.Xadj[v]:g.Xadj[v+1]]
 	best, bestW, bestJag := v, int32(-1), 0.0
-	for i := g.Xadj[v]; i < g.Xadj[v+1]; i++ {
-		u, w := g.Adjncy[i], g.Adjwgt[i]
+	for i, u := range g.Adjncy[g.Xadj[v]:g.Xadj[v+1]] {
+		w := wgt[i]
 		if w < bestW || (w == bestW && !balanced) || match[u] >= 0 || u == v {
 			continue
 		}
-		uw := g.Vwgt[int(u)*m : int(u+1)*m]
-		if opt.MaxVertexWeight > 0 && !fitsCap(vw, uw, opt.MaxVertexWeight) {
+		uw := vwgt[int(u)*m : int(u+1)*m]
+		if maxW > 0 && !fitsCap(vw, uw, maxW) {
 			continue
 		}
 		if balanced {
@@ -305,8 +306,13 @@ func clusterMembers(cmap []int32, nc int, s *scratch) (head, members []int32) {
 func contract(g *graph.Graph, cmap []int32, nc int, head, members []int32, s *scratch, hlv *hier.Level) *graph.Graph {
 	m, workers := g.Ncon, s.workers
 	xadj, vwgt := g.Xadj, g.Vwgt
+	// The segments tile the fine adjacency, so the last ends at its length
+	// and only the others need their members' degrees summed.
 	offs := s.offs[:workers+1]
 	s.run(func(w int) {
+		if w == workers-1 {
+			return
+		}
 		clo, chi := par.Span(nc, workers, w)
 		need := int32(0)
 		for _, v := range members[head[clo]:head[chi]] {
@@ -314,7 +320,8 @@ func contract(g *graph.Graph, cmap []int32, nc int, head, members []int32, s *sc
 		}
 		offs[w+1] = need
 	})
-	prefixSum(offs)
+	prefixSum(offs[:workers])
+	offs[workers] = int32(len(g.Adjncy))
 	stageAdj, stageWgt := grow(&s.stageAdj, int(offs[workers])), grow(&s.stageWgt, int(offs[workers]))
 	cvwgt, cxadj := hlv.Coarse(nc)
 	s.run(func(w int) {

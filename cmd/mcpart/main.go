@@ -70,7 +70,7 @@ func main() {
 		tol       = flag.Float64("tol", 0.05, "load imbalance tolerance")
 		scheme    = flag.String("scheme", "reservation", "parallel refinement scheme: reservation|slice|free")
 		coarsen   = flag.String("coarsen", "matching", "coarsening scheme: matching|cluster|auto (serial only; cluster suits power-law graphs)")
-		coarsenW  = flag.Int("coarsen-workers", 0, "goroutines for the serial pipeline's coarsening kernels; 0 or 1 = sequential, any value yields identical output")
+		coarsenW  = flag.Int("coarsen-workers", 0, "goroutines for the serial pipeline's coarsening kernels; any value yields identical output")
 		outFile   = flag.String("out", "", "write one subdomain label per line to this file")
 		timeout   = flag.Duration("timeout", 0, "abort partitioning after this long (0 = no limit); exits with status 3")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON trace of the run to this file (open in Perfetto)")

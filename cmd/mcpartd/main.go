@@ -77,7 +77,7 @@ func main() {
 		sessions   = flag.Int("sessions", 0, "live session limit (0 = default 64)")
 		sessionTTL = flag.Duration("session-ttl", 0, "idle session lifetime before sweep (0 = default 1h)")
 		batchMax   = flag.Int("batch-max", 0, "jobs accepted per /v1/batch call (0 = default 64)")
-		coarsenW   = flag.Int("coarsen-workers", 0, "goroutines for serial jobs' coarsening kernels; 0 or 1 = sequential, results (and cache keys) are identical for any value")
+		coarsenW   = flag.Int("coarsen-workers", 0, "goroutines for serial jobs' coarsening kernels; results (and cache keys) are identical for any value")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {

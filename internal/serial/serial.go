@@ -57,10 +57,9 @@ type Options struct {
 	// (sniff the finest graph's degree skew). See coarsen.Scheme.
 	CoarsenScheme coarsen.Scheme
 	// CoarsenWorkers sets the shared-memory worker count for the coarsening
-	// kernels (matching, contraction, LP clustering). 0 or 1 selects the
-	// sequential kernels; any value >= 2 runs them on that many goroutines
-	// with a bit-identical result (see coarsen.Options.Workers and
-	// DESIGN.md, "Parallel coarsening contract").
+	// kernels (matching, contraction, LP clustering). Every value gives a
+	// bit-identical result (see coarsen.Options.Workers and DESIGN.md,
+	// "Parallel coarsening contract").
 	CoarsenWorkers int
 }
 

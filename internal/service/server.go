@@ -84,11 +84,11 @@ type Config struct {
 	MaxBatchJobs int
 
 	// CoarsenWorkers sets the shared-memory worker count for the
-	// coarsening kernels of every serial job (0 or 1 = sequential). It is
-	// a server-wide tuning knob, not a request field, because it cannot
-	// change any result: the coarsening is bit-identical for every worker
-	// count, which is also why it does not enter the result-cache key —
-	// cached entries stay valid across restarts with a different value.
+	// coarsening kernels of every serial job. It is a server-wide tuning
+	// knob, not a request field, because it cannot change any result: the
+	// coarsening is bit-identical for every worker count, which is also why
+	// it does not enter the result-cache key — cached entries stay valid
+	// across restarts with a different value.
 	CoarsenWorkers int
 }
 

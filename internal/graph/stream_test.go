@@ -103,7 +103,7 @@ func TestChunkedReaderUnderMETIS(t *testing.T) {
 	}
 }
 
-func mustGrid(t *testing.T, w, h int) *Graph {
+func mustGrid(t testing.TB, w, h int) *Graph {
 	t.Helper()
 	b := NewBuilder(w*h, 1)
 	id := func(x, y int) int32 { return int32(y*w + x) }

@@ -98,7 +98,7 @@ func (s *Server) runBatchJob(parent context.Context, idx int, jreq *PartitionReq
 	}
 	if res, ok := s.lookupCached(spec.key); ok {
 		out.Status = http.StatusOK
-		out.Result = s.shapeResponse(jreq, spec, res, true, 0)
+		out.Result = s.shapeResponse(spec.shape(), res, true, 0)
 		return out
 	}
 
@@ -121,25 +121,21 @@ func (s *Server) runBatchJob(parent context.Context, idx int, jreq *PartitionReq
 	s.storeResult(spec.key, j.res)
 	queueWait := time.Since(j.enqueued) - time.Duration(j.res.RunSeconds*float64(time.Second))
 	out.Status = http.StatusOK
-	out.Result = s.shapeResponse(jreq, spec, j.res, false, queueWait)
+	out.Result = s.shapeResponse(spec.shape(), j.res, false, queueWait)
 	return out
 }
 
 // shapeResponse builds the per-job response body without writing it —
 // shared by the batch path, which aggregates bodies instead of streaming
 // them.
-func (s *Server) shapeResponse(req *PartitionRequest, spec *jobSpec, res *Result, cached bool, queueWait time.Duration) *PartitionResponse {
-	scheme := ""
-	if spec.p > 0 {
-		scheme = spec.scheme.String()
-	}
+func (s *Server) shapeResponse(shape responseShape, res *Result, cached bool, queueWait time.Duration) *PartitionResponse {
 	return &PartitionResponse{
-		N:          spec.g.NumVertices(),
-		M:          spec.g.Ncon,
-		K:          spec.k,
-		P:          spec.p,
-		Seed:       spec.seed,
-		Scheme:     scheme,
+		N:          shape.n,
+		M:          shape.m,
+		K:          shape.k,
+		P:          shape.p,
+		Seed:       shape.seed,
+		Scheme:     shape.scheme,
 		Cut:        res.Cut,
 		CommVolume: res.CommVolume,
 		Imbalances: res.Imbalances,

@@ -50,6 +50,7 @@ type Metrics struct {
 	queueRejected  int64
 	cacheHits      int64
 	cacheMisses    int64
+	cacheBodyHits  int64 // the hits found by body print, before decoding
 	cacheEvictions int64
 
 	diskHits      int64
@@ -123,6 +124,14 @@ func (m *Metrics) countCache(hit bool) {
 	} else {
 		m.cacheMisses++
 	}
+	m.mu.Unlock()
+}
+
+// countBodyHit records that a hit, already counted by countCache, was
+// found by body print.
+func (m *Metrics) countBodyHit() {
+	m.mu.Lock()
+	m.cacheBodyHits++
 	m.mu.Unlock()
 }
 
@@ -237,6 +246,9 @@ func (m *Metrics) Render(w io.Writer) {
 	fmt.Fprintf(w, "# HELP mcpartd_cache_misses_total Requests that had to compute.\n")
 	fmt.Fprintf(w, "# TYPE mcpartd_cache_misses_total counter\n")
 	fmt.Fprintf(w, "mcpartd_cache_misses_total %d\n", m.cacheMisses)
+	fmt.Fprintf(w, "# HELP mcpartd_cache_body_hits_total Cache hits found by request-body fingerprint, before decoding (a subset of mcpartd_cache_hits_total).\n")
+	fmt.Fprintf(w, "# TYPE mcpartd_cache_body_hits_total counter\n")
+	fmt.Fprintf(w, "mcpartd_cache_body_hits_total %d\n", m.cacheBodyHits)
 	fmt.Fprintf(w, "# HELP mcpartd_cache_evictions_total LRU evictions from the result cache.\n")
 	fmt.Fprintf(w, "# TYPE mcpartd_cache_evictions_total counter\n")
 	fmt.Fprintf(w, "mcpartd_cache_evictions_total %d\n", m.cacheEvictions)

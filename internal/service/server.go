@@ -11,7 +11,8 @@
 //     instead of spawning unbounded goroutines.
 //   - cache.go — a content-addressed LRU over completed results, keyed by
 //     the canonical METIS serialization of the graph plus the parameter
-//     tuple, so identical requests never recompute.
+//     tuple, so identical requests never recompute; a second index by
+//     request-body SHA-256 answers byte-identical repeats before decoding.
 //   - metrics.go — a tiny stdlib-only Prometheus text registry: request
 //     and job counters, queue depth, cache hit ratio, per-stage latency
 //     histograms.
@@ -29,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -208,6 +210,23 @@ type jobSpec struct {
 	coarsen partition.CoarsenScheme
 	traced  bool // ?trace=1: record and return a span trace
 	key     cacheKey
+	print   *bodyPrint // print of the POST /v1/partition body; nil elsewhere
+}
+
+// responseShape is the part of a PartitionResponse the cache key
+// determines, so a cached entry can answer without its request.
+type responseShape struct {
+	n, m, k, p int
+	seed       uint64
+	scheme     string // parallel runs only
+}
+
+func (spec *jobSpec) shape() responseShape {
+	sh := responseShape{n: spec.g.NumVertices(), m: spec.g.Ncon, k: spec.k, p: spec.p, seed: spec.seed}
+	if spec.p > 0 {
+		sh.scheme = spec.scheme.String()
+	}
+	return sh
 }
 
 // RepartInfo is the migration report of a session repartition, attached
@@ -356,15 +375,34 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 
-	var req PartitionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
 			return
 		}
+		s.writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return
+	}
+	traced := r.URL.Query().Get("trace") == "1"
+	fp := bodyPrint(sha256.Sum256(body))
+	// A byte-identical repeat of a body answered before is a memory hit
+	// found without decoding, parsing or key derivation; it never reaches
+	// the disk tier. Traced requests skip it, as they skip the cache.
+	if !traced {
+		if res, shape, ok := s.cache.getPrint(fp); ok {
+			s.met.countCache(true)
+			s.met.countBodyHit()
+			s.respond(w, shape, res, true, 0, time.Since(start))
+			return
+		}
+	}
+
+	var req PartitionRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
@@ -374,7 +412,8 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spec.traced = r.URL.Query().Get("trace") == "1"
+	spec.traced = traced
+	spec.print = &fp
 	s.servePartition(w, r, &req, spec, start)
 }
 
@@ -386,7 +425,8 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, req *Par
 	// actual run, not a cached result without one.
 	if !spec.traced {
 		if res, ok := s.lookupCached(spec.key); ok {
-			s.respond(w, req, spec, res, true, 0, time.Since(start))
+			s.attachPrint(spec)
+			s.respond(w, spec.shape(), res, true, 0, time.Since(start))
 			return
 		}
 	}
@@ -419,10 +459,21 @@ func (s *Server) servePartition(w http.ResponseWriter, r *http.Request, req *Par
 		// Traced results stay out of the cache: their Trace payloads are
 		// large, one-shot, and must not be replayed to untraced callers.
 		s.storeResult(spec.key, j.res)
+		s.attachPrint(spec)
 	}
 	s.met.observeStage("queue", queueWait.Seconds()-j.res.RunSeconds)
 	s.met.observeStage("run", j.res.RunSeconds)
-	s.respond(w, req, spec, j.res, false, queueWait-time.Duration(j.res.RunSeconds*float64(time.Second)), time.Since(start))
+	s.respond(w, spec.shape(), j.res, false, queueWait-time.Duration(j.res.RunSeconds*float64(time.Second)), time.Since(start))
+}
+
+// attachPrint aliases the request's body print, if it has one, to the
+// cache entry that answered it. It runs before the response is written,
+// so a client that has read a reply can count on its repeat finding the
+// print.
+func (s *Server) attachPrint(spec *jobSpec) {
+	if spec.print != nil {
+		s.cache.attach(spec.key, *spec.print, spec.shape())
+	}
 }
 
 // jobTimeout merges the request's deadline wish with the server policy.
@@ -503,9 +554,9 @@ func (s *Server) storeResult(key cacheKey, res *Result) {
 // away"; there is no official HTTP status for it.
 const statusClientClosedRequest = 499
 
-func (s *Server) respond(w http.ResponseWriter, req *PartitionRequest, spec *jobSpec, res *Result, cached bool, queueWait, total time.Duration) {
+func (s *Server) respond(w http.ResponseWriter, shape responseShape, res *Result, cached bool, queueWait, total time.Duration) {
 	s.met.observeStage("total", total.Seconds())
-	body := s.shapeResponse(req, spec, res, cached, queueWait)
+	body := s.shapeResponse(shape, res, cached, queueWait)
 	body.Trace = json.RawMessage(res.Trace)
 	s.writeJSON(w, http.StatusOK, body)
 }

@@ -42,9 +42,10 @@ func ClusterCaps(where string, g *graph.Graph, cmap []int32, nc int, caps []int6
 
 // GainCache panics if the boundary refiner's incremental id/ed/nfr tables,
 // its boundary set or its candidate gate and count disagree with a
-// from-scratch re-derivation.
-func GainCache(where string, g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) {
-	if err := VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates); err != nil {
+// from-scratch re-derivation, or if its row bound is below a vertex's
+// heaviest gain row.
+func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) {
+	if err := VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err != nil {
 		panic("mcdebug: " + where + ": " + err.Error())
 	}
 }

@@ -202,8 +202,10 @@ func TestVerifyMatchingCatches(t *testing.T) {
 }
 
 // TestVerifyGainCacheGate derives consistent gain-cache tables for a round-
-// robin partition, then checks that a flipped candidate gate and a wrong
-// candidate count are each caught.
+// robin partition, with each vertex's row bound at its external degree,
+// then checks that a flipped candidate gate, a wrong candidate count, a row
+// bound below the heaviest row and one above the external degree are each
+// caught.
 func TestVerifyGainCacheGate(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
@@ -235,15 +237,25 @@ func TestVerifyGainCacheGate(t *testing.T) {
 			candidates++
 		}
 	}
-	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates); err != nil {
+	maxRow := append([]int64(nil), ed...)
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err != nil {
 		t.Fatalf("consistent tables rejected: %v", err)
 	}
-	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates+1); err == nil ||
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates+1); err == nil ||
 		!strings.Contains(err.Error(), "candidate count") {
 		t.Errorf("wrong candidate count: got %v", err)
 	}
-	gate[bnd[0]] = !gate[bnd[0]]
-	if err := check.VerifyGainCache(g, part, id, ed, nfr, bnd, bndptr, gate, candidates); err == nil ||
+	v := bnd[0]
+	for _, bound := range []int64{0, ed[v] + 1} {
+		maxRow[v] = bound
+		if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err == nil ||
+			!strings.Contains(err.Error(), "row bound") {
+			t.Errorf("row bound %d (ed %d): got %v", bound, ed[v], err)
+		}
+	}
+	maxRow[v] = ed[v]
+	gate[v] = !gate[v]
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err == nil ||
 		!strings.Contains(err.Error(), "candidate gate") {
 		t.Errorf("flipped gate: got %v", err)
 	}

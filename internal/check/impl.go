@@ -178,14 +178,15 @@ func VerifyClusterCaps(g *graph.Graph, cmap []int32, nc int, caps []int64) error
 // tables against a from-scratch re-derivation: for every vertex, id/ed must
 // equal the summed edge weight to same-/other-subdomain neighbors, nfr the
 // foreign-neighbor count, and the bnd/bndptr pair must be a consistent
-// boundary set containing exactly the vertices with nfr > 0. The candidate
-// gate must be set exactly for the boundary vertices with ed >= id, and
-// candidates must count them.
-func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) error {
+// boundary set containing exactly the vertices with nfr > 0. The row bound
+// maxRow must be sound, at least the heaviest per-subdomain row a scan
+// derives, and at most ed. The candidate gate must be set exactly for the
+// boundary vertices with maxRow >= id, and candidates must count them.
+func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) error {
 	n := g.NumVertices()
-	if len(id) != n || len(ed) != n || len(nfr) != n || len(bndptr) != n || len(gate) != n {
-		return fmt.Errorf("check: gain-cache table lengths %d/%d/%d/%d/%d, want %d",
-			len(id), len(ed), len(nfr), len(bndptr), len(gate), n)
+	if len(id) != n || len(ed) != n || len(maxRow) != n || len(nfr) != n || len(bndptr) != n || len(gate) != n {
+		return fmt.Errorf("check: gain-cache table lengths %d/%d/%d/%d/%d/%d, want %d",
+			len(id), len(ed), len(maxRow), len(nfr), len(bndptr), len(gate), n)
 	}
 	gated := 0
 	inBnd := make([]bool, n)
@@ -201,10 +202,12 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bnd
 			return fmt.Errorf("check: bndptr[%d] = %d, but vertex sits at bnd[%d]", v, bndptr[v], i)
 		}
 	}
+	rows := map[int32]int64{}
 	for v := int32(0); int(v) < n; v++ {
 		a := part[v]
-		var wantID, wantED int64
+		var wantID, wantED, heaviest int64
 		wantNfr := int32(0)
+		clear(rows)
 		adj, wgt := g.Neighbors(v)
 		for i, u := range adj {
 			if part[u] == a {
@@ -212,6 +215,8 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bnd
 			} else {
 				wantED += int64(wgt[i])
 				wantNfr++
+				rows[part[u]] += int64(wgt[i])
+				heaviest = max(heaviest, rows[part[u]])
 			}
 		}
 		if id[v] != wantID {
@@ -229,9 +234,13 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed []int64, nfr, bnd, bnd
 		if !inBnd[v] && bndptr[v] != -1 {
 			return fmt.Errorf("check: interior vertex %d has bndptr %d, want -1", v, bndptr[v])
 		}
-		if want := wantNfr > 0 && wantED >= wantID; gate[v] != want {
-			return fmt.Errorf("check: vertex %d candidate gate %v, scratch re-derivation %v (nfr %d, ed %d, id %d)",
-				v, gate[v], want, wantNfr, wantED, wantID)
+		if maxRow[v] < heaviest || maxRow[v] > wantED {
+			return fmt.Errorf("check: vertex %d row bound %d outside [heaviest row %d, ed %d]",
+				v, maxRow[v], heaviest, wantED)
+		}
+		if want := wantNfr > 0 && maxRow[v] >= wantID; gate[v] != want {
+			return fmt.Errorf("check: vertex %d candidate gate %v, scratch re-derivation %v (nfr %d, row bound %d, id %d)",
+				v, gate[v], want, wantNfr, maxRow[v], wantID)
 		}
 		if gate[v] {
 			gated++

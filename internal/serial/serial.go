@@ -311,7 +311,9 @@ func partitionOnce(ctx context.Context, g *graph.Graph, k int, opt Options, tr *
 		return nil, stats, fmt.Errorf("serial: aborted during uncoarsening: %w", err)
 	}
 
-	stats.EdgeCut = metrics.EdgeCut(g, part)
+	// The last Refine ran on g itself, so its maintained cut is g's cut
+	// (check.Partition asserts the two agree after every level).
+	stats.EdgeCut = refiner.Cut()
 	stats.Imbalance = metrics.MaxImbalance(g, part, k)
 	return part, stats, nil
 }

@@ -2,6 +2,7 @@ package kwayrefine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,13 +13,13 @@ import (
 )
 
 // The boundary refinement contract (DESIGN.md): the refiner with its
-// incremental gain cache, candidate gate and connectivity-row cache is
-// pinned BIT-IDENTICAL to the full-scan reference (reference_test.go) —
-// same final labels, same cut, same move count — for every graph,
-// constraint count, k, seed, and pass budget. Both consume the identical
-// random permutation stream; only the skip test and the gain gathering
-// differ, a skipped vertex provably has no legal move, and a cached row is
-// only ever used when it provably equals a fresh adjacency scan.
+// incremental gain cache, row bound and candidate gate is pinned
+// BIT-IDENTICAL to the full-scan reference (reference_test.go) — same final
+// labels, same cut, same move count — for every graph, constraint count, k,
+// seed, and pass budget. Both consume the identical random permutation
+// stream and gather rows by the same adjacency scan; only the skip test
+// differs, and a skipped vertex provably has no row that reaches its
+// internal degree, so no legal move.
 
 // runBoth refines two copies of part with the production refiner and the
 // full-scan reference under identical options and RNG streams, and fails
@@ -56,8 +57,8 @@ func runBoth(t *testing.T, tag string, g *graph.Graph, part []int32, k, passes i
 
 // zeroEdges returns a copy of g in which every edge touching a vertex
 // whose id is a multiple of 3 weighs 0. Such a vertex on the boundary has
-// id == ed == 0, the case where the candidate gate's ed >= id must admit a
-// zero-gain, balance-improving move.
+// id == ed == maxRow == 0, the case where the candidate gate's maxRow >= id
+// must admit a zero-gain, balance-improving move.
 func zeroEdges(g *graph.Graph) *graph.Graph {
 	z := g.Clone()
 	for v := int32(0); int(v) < z.NumVertices(); v++ {
@@ -116,7 +117,7 @@ func TestBoundaryDrivenMatchesReference(t *testing.T) {
 
 // TestBoundaryBalanceMatchesReference pins Balance on a skewed partition,
 // which exercises the balance pass's interior-vertex path (cached id plus
-// O(1) clean-row gathers; interior vertices stay eligible for balance moves).
+// an O(1) empty gather; interior vertices stay eligible for balance moves).
 func TestBoundaryBalanceMatchesReference(t *testing.T) {
 	base := gen.MRNGLike(10, 10, 10, 5)
 	for _, m := range []int{1, 3} {
@@ -165,6 +166,31 @@ func TestRefineAllocBudget(t *testing.T) {
 		g.NumVertices(), got, budget)
 	if got > budget {
 		t.Errorf("refinement allocations regressed: %.0f/op exceeds the committed budget of %.0f",
+			got, budget)
+	}
+}
+
+// TestReserveMemoryBudget is the committed memory budget of a reserved
+// refiner: every table is per-vertex, 41 bytes a vertex (order, nfr, bnd
+// and bndptr at 4, id, ed and maxRow at 8, the gate at 1), and nothing is
+// sized by the edge count. The graph is large enough that allocation
+// size-class rounding adds less than a byte per vertex.
+func TestReserveMemoryBudget(t *testing.T) {
+	g := gen.PowerLaw(60000, 10, 2.5, 7)
+	n := g.NumVertices()
+	if deg := float64(len(g.Adjncy)) / float64(n); deg < 8 {
+		t.Fatalf("average degree %.2f, want >= 8 so edge-sized tables would show", deg)
+	}
+	const budget = 48.0 // bytes per vertex
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewRefiner(64, 3, Options{}).Reserve(g)
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("Reserve (n=%d, %d adjacency entries): %.1f B/vertex (budget %.0f)",
+		n, len(g.Adjncy), got, budget)
+	if got > budget {
+		t.Errorf("reserved refiner memory regressed: %.1f B/vertex exceeds the committed budget of %.0f",
 			got, budget)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // bit-identical to: every pass visits all n vertices in the same random
 // order and re-derives each vertex's gain rows and internal degree from its
 // adjacency list, deciding boundary-ness by that scan instead of the
-// boundary set, the candidate gate or the row cache. Move selection
+// boundary set, the row bound or the candidate gate. Move selection
 // (greedyMove, balanceMove) and move application are shared, so the
 // reference pins exactly what the production refiner caches and skips.
 type reference struct{ *Refiner }

@@ -28,6 +28,12 @@ func FuzzReadMETIS(f *testing.F) {
 	f.Add([]byte("99999999999999999999 1 11\n"))
 	f.Add([]byte("4 3 11 9999999\n"))
 	f.Add([]byte("2 1\n3 1\n1 1\n"))
+	// Vertex lines that contradict each other.
+	f.Add([]byte("2 1 10\n1 2\n1\n"))
+	f.Add([]byte("2 1 10\n1\n1 1\n"))
+	f.Add([]byte("2 1 1\n2 5\n1 7\n"))
+	f.Add([]byte("3 2\n2 2\n1 3\n2\n"))
+	f.Add([]byte("2 1\n1 2\n1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadMETISLimited(bytes.NewReader(data), fuzzLimits)
 		if err != nil {

@@ -1,6 +1,8 @@
 package pcoarsen
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pgraph"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func testGraph(m int) *graph.Graph {
@@ -30,7 +33,7 @@ func TestMatchIsGloballyValid(t *testing.T) {
 		global := make([]int32, g.NumVertices())
 		mpi.Run(p, mpi.Zero(), func(c *mpi.Comm) {
 			dg := pgraph.Distribute(c, g)
-			match := Match(dg, rng.New(1).Derive(uint64(c.Rank())), Options{BalancedEdge: true})
+			match, _ := Match(dg, rng.New(1).Derive(uint64(c.Rank())), Options{BalancedEdge: true})
 			all, _ := c.AllgathervI32(match)
 			if c.Rank() == 0 {
 				copy(global, all)
@@ -68,7 +71,7 @@ func TestContractConservation(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		mpi.Run(p, mpi.Zero(), func(c *mpi.Comm) {
 			dg := pgraph.Distribute(c, g)
-			match := Match(dg, rng.New(2).Derive(uint64(c.Rank())), Options{})
+			match, _ := Match(dg, rng.New(2).Derive(uint64(c.Rank())), Options{})
 			coarse, cmap := Contract(dg, match)
 
 			ct := coarse.TotalVertexWeight()
@@ -103,7 +106,7 @@ func TestParallelContractMatchesSerialSemantics(t *testing.T) {
 	g := testGraph(2)
 	mpi.Run(4, mpi.Zero(), func(c *mpi.Comm) {
 		dg := pgraph.Distribute(c, g)
-		match := Match(dg, rng.New(5).Derive(uint64(c.Rank())), Options{})
+		match, _ := Match(dg, rng.New(5).Derive(uint64(c.Rank())), Options{})
 		coarse, cmap := Contract(dg, match)
 
 		// Same random coarse partition on every rank.
@@ -160,7 +163,7 @@ func TestSlowCoarsening(t *testing.T) {
 		var ratio float64
 		mpi.Run(p, mpi.Zero(), func(c *mpi.Comm) {
 			dg := pgraph.Distribute(c, g)
-			match := Match(dg, rng.New(4).Derive(uint64(c.Rank())), Options{Rounds: 1})
+			match, _ := Match(dg, rng.New(4).Derive(uint64(c.Rank())), Options{Rounds: 1})
 			coarse, _ := Contract(dg, match)
 			if c.Rank() == 0 {
 				ratio = float64(coarse.GlobalN()) / float64(g.NumVertices())
@@ -172,6 +175,57 @@ func TestSlowCoarsening(t *testing.T) {
 	t.Logf("single-round shrink: p=1 %.3f, p=8 %.3f", r1, r8)
 	if r8 < r1-0.05 {
 		t.Errorf("p=8 coarsened faster (%.3f) than p=1 (%.3f); expected slow coarsening", r8, r1)
+	}
+}
+
+// TestLevelSpansCountProposals: a traced p=4 hierarchy ends every
+// coarsen.level span with the rank's proposals and rejections, and a rank
+// never has more requests rejected than it sent.
+func TestLevelSpansCountProposals(t *testing.T) {
+	g := testGraph(2)
+	const p = 4
+	tr := trace.New("test")
+	mpi.Run(p, mpi.Zero(), func(c *mpi.Comm) {
+		dg := pgraph.Distribute(c, g)
+		BuildHierarchy(dg, 100, rng.New(3).Derive(uint64(c.Rank())),
+			Options{BalancedEdge: true, Trace: tr.Rank(c.Rank())})
+	})
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var exported struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &exported); err != nil {
+		t.Fatal(err)
+	}
+	spans, proposed := make(map[int]int), 0.0
+	for _, e := range exported.TraceEvents {
+		if e.Name != "coarsen.level" || e.Ph != "E" {
+			continue
+		}
+		spans[e.Tid]++
+		props, ok1 := e.Args["proposals"].(float64)
+		rej, ok2 := e.Args["rejected"].(float64)
+		if !ok1 || !ok2 {
+			t.Fatalf("rank %d: coarsen.level span ends without proposals/rejected: %v", e.Tid, e.Args)
+		}
+		if rej < 0 || rej > props {
+			t.Errorf("rank %d: %v rejected of %v proposals", e.Tid, rej, props)
+		}
+		proposed += props
+	}
+	if len(spans) != p {
+		t.Fatalf("coarsen.level spans on %d ranks, want %d", len(spans), p)
+	}
+	if proposed == 0 {
+		t.Error("no rank sent a proposal; the input does not exercise the counters")
 	}
 }
 
@@ -276,7 +330,7 @@ func TestContractMatchesSortReference(t *testing.T) {
 					dg := pgraph.Distribute(c, in.g)
 					rand := rng.New(6).Derive(uint64(c.Rank()))
 					for level := 1; level <= 4; level++ {
-						match := Match(dg, rand, Options{BalancedEdge: true})
+						match, _ := Match(dg, rand, Options{BalancedEdge: true})
 						coarse, cmap := Contract(dg, match)
 						ref, refCmap := referenceContract(dg, match)
 						for _, f := range []struct {

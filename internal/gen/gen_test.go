@@ -123,6 +123,14 @@ func TestRegionsEdgeCases(t *testing.T) {
 			t.Fatalf("label %d out of clamped range", l)
 		}
 	}
+	// An empty graph gets no labels, and its overlays are empty graphs.
+	empty := Grid2D(0, 0)
+	if labels := Regions(empty, 16, 1); len(labels) != 0 {
+		t.Fatalf("empty graph: %d labels", len(labels))
+	}
+	if g := Type2(Type1(empty, 2, 1), 3, 1); g.NumVertices() != 0 {
+		t.Fatalf("empty overlay has %d vertices", g.NumVertices())
+	}
 }
 
 func TestType1Structure(t *testing.T) {

@@ -161,6 +161,8 @@ func TestBuildSpecValidation(t *testing.T) {
 		{"workload needs m", PartitionRequest{Mesh: "mrng1t", K: 2, Workload: "type1"}, "m >= 1"},
 		{"garbage graph", PartitionRequest{Graph: "not a graph", K: 2}, "graph:"},
 		{"k over n", PartitionRequest{Graph: "2 1 11\n1 2 1\n1 1 1\n", K: 5}, "exceeds vertex count"},
+		{"one-sided edge", PartitionRequest{Graph: "2 1 10\n1 2\n1\n", K: 1}, "vertex 2 does not list 1"},
+		{"empty graph overlay", PartitionRequest{Graph: "0 0\n", K: 1, Workload: "type2", M: 2}, "exceeds vertex count"},
 	}
 	for _, tc := range cases {
 		_, err := s.buildSpec(&tc.req)

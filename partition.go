@@ -223,8 +223,12 @@ func Type1Workload(g *Graph, m int, seed uint64) *Graph { return gen.Type1(g, m,
 // phases.
 func Type2Workload(g *Graph, m int, seed uint64) *Graph { return gen.Type2(g, m, seed) }
 
-// Regions splits a graph into r contiguous regions (graph Voronoi); useful
-// for building custom multi-phase workloads.
+// Regions splits a graph into r contiguous regions (graph Voronoi) and
+// returns a region label per vertex; useful for building custom
+// multi-phase workloads. Seeds are spread by farthest-point sampling, and
+// every vertex takes its nearest seed's label, the lowest index on a tie.
+// A call costs about n·H(r) vertex visits (H the harmonic number), one
+// BFS per seed pruned to the cell that seed takes over.
 func Regions(g *Graph, r int, seed uint64) []int32 { return gen.Regions(g, r, seed) }
 
 // RepartitionMethod selects the adaptive-repartitioning strategy.

@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/vecw"
 )
 
@@ -240,4 +241,20 @@ func TestType1TopologySharedWithBase(t *testing.T) {
 	}
 	// Jaggedness sanity: workload vectors exercise vecw.
 	_ = vecw.JaggednessI32(g.VertexWeight(0))
+}
+
+var meshSink *graph.Graph
+
+// BenchmarkMRNGLike times building the mrng1 stand-in at the scaled and
+// the paper's size: the generator's edges and Builder.Finish.
+func BenchmarkMRNGLike(b *testing.B) {
+	for _, name := range []string{"mrng1s", "mrng1"} {
+		spec, _ := MeshByName(name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				meshSink = spec.Build(uint64(i)*7919 + 7)
+			}
+		})
+	}
 }

@@ -21,6 +21,7 @@ import (
 // to reason about.
 func Grid2D(w, h int) *graph.Graph {
 	b := graph.NewBuilder(w*h, 1)
+	b.Grow(gridEdges(w, h, 1))
 	id := func(x, y int) int32 { return int32(y*w + x) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -39,6 +40,7 @@ func Grid2D(w, h int) *graph.Graph {
 // and one constraint.
 func Grid3D(nx, ny, nz int) *graph.Graph {
 	b := graph.NewBuilder(nx*ny*nz, 1)
+	b.Grow(gridEdges(nx, ny, nz))
 	id := func(x, y, z int) int32 { return int32((z*ny+y)*nx + x) }
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
@@ -66,6 +68,8 @@ func Grid3D(nx, ny, nz int) *graph.Graph {
 func MRNGLike(nx, ny, nz int, seed uint64) *graph.Graph {
 	r := rng.New(seed)
 	b := graph.NewBuilder(nx*ny*nz, 1)
+	// The grid's edges and one diagonal per interior cell corner.
+	b.Grow(gridEdges(nx, ny, nz) + max(nx-1, 0)*max(ny-1, 0)*max(nz-1, 0))
 	id := func(x, y, z int) int32 { return int32((z*ny+y)*nx + x) }
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
@@ -99,6 +103,11 @@ func MRNGLike(nx, ny, nz int, seed uint64) *graph.Graph {
 		}
 	}
 	return b.MustFinish()
+}
+
+// gridEdges is the edge count of an nx×ny×nz 6-neighborhood grid.
+func gridEdges(nx, ny, nz int) int {
+	return max(nx-1, 0)*ny*nz + nx*max(ny-1, 0)*nz + nx*ny*max(nz-1, 0)
 }
 
 // MeshSpec names one of the paper's four test graphs at a given scale.

@@ -61,6 +61,7 @@ func PowerLaw(n int, avgDeg, exponent float64, seed uint64) *graph.Graph {
 
 	r := rng.New(seed)
 	b := graph.NewBuilder(n, 1)
+	b.Grow(int(s / 2)) // the expected edge count
 	// Weights are non-increasing in v, so for fixed u the edge probability
 	// p(u,v) is non-increasing in v and the geometric skip length drawn at
 	// probability p over-counts candidates, corrected by the q/p acceptance

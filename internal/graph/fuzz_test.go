@@ -34,6 +34,7 @@ func FuzzReadMETIS(f *testing.F) {
 	f.Add([]byte("2 1 1\n2 5\n1 7\n"))
 	f.Add([]byte("3 2\n2 2\n1 3\n2\n"))
 	f.Add([]byte("2 1\n1 2\n1\n"))
+	f.Add([]byte(overflowBody))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadMETISLimited(bytes.NewReader(data), fuzzLimits)
 		if err != nil {
@@ -43,6 +44,48 @@ func FuzzReadMETIS(f *testing.F) {
 			t.Fatalf("parsed graph fails Validate: %v\ninput: %q", err, data)
 		}
 		assertRoundTrip(t, g)
+	})
+}
+
+// overflowBody lists the edge {1,2} three times on both lines, each time
+// with weight MaxInt32: the summed weight does not fit int32.
+const overflowBody = "2 1 1\n2 2147483647 2 2147483647 2 2147483647\n1 2147483647 1 2147483647 1 2147483647\n"
+
+// FuzzReadMETISMatchesReference asserts that ReadMETISLimited, which
+// tokenizes each line in place, agrees on any input with the reference
+// that splits it with strings.Fields and parses each field with
+// strconv.ParseInt: the same graph, or the same error text.
+func FuzzReadMETISMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"2 1 1\n+2 +5\n1 5\n",
+		"2 1 11\n-0 2 3\n007 1 3\n",
+		"2 1 1\n2 1_0\n1 10\n",
+		"2 1 1\n2 2147483648\n1 2147483648\n",
+		"2 1 11\n-2147483648 2 1\n1 1 1\n",
+		"2 1 1\n2 -2147483649\n1 1\n",
+		"2 1 10 3\n1 2\n1 x 1\n",
+		"2\t1\t1\n2\t5\n\t1 5\t\n",
+		"2 1 1\n2\v5\n1\v5\n",
+		"2 1 1\n2\f5\n1 5\f\n",
+		"2 1 1\r\n2 5\r\n1 5\r\n",
+		"2 1 1\n2\u00a05\n1 5\n",
+		"\u00a0% comment\n2 1 1\n2\u00855\n1 5\u0085\n",
+		"2 1 1\n2 5 \U0001F600\n1 5\n",
+		"2 1 1\n2 5\xff\n1 5\n",
+		"2 1 1\n2 99999999999\u00a05\n1 5\n",
+		overflowBody,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadMETISLimited(bytes.NewReader(data), fuzzLimits)
+		want, wantErr := readMETISReference(bytes.NewReader(data), fuzzLimits)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("error %v, reference %v\ninput: %q", err, wantErr, data)
+		}
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("graph differs from the reference\ninput: %q", data)
+		}
 	})
 }
 

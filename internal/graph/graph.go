@@ -22,14 +22,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // checkAdjncyLen rejects an adjacency-array length (2x the undirected edge
 // count) the int32 CSR cannot index: Xadj entries reach exactly this
 // value, so anything past MaxInt32 would wrap the prefix sums. Shared by
-// Builder.Finish (on the merged edge total) and the METIS header check (on
-// the declared edge count, before anything proportional is allocated).
+// Builder.Finish (on the entry total before repeats are merged) and the
+// METIS header check (on the declared edge count, before anything
+// proportional is allocated).
 func checkAdjncyLen(entries int64) error {
 	if entries > math.MaxInt32 {
 		return fmt.Errorf("graph: %d adjacency entries (%d undirected edges) overflow int32 Xadj indexing (max %d entries)",
@@ -106,7 +106,8 @@ func (g *Graph) String() string {
 // monotone Xadj, in-range neighbor ids, no self-loops, symmetric adjacency
 // with matching weights, positive edge weights, non-negative vertex weights,
 // and consistent array lengths. It returns a descriptive error for the
-// first violation found.
+// first violation found. A graph whose lists are all strictly ascending,
+// as Builder.Finish emits them, is accepted in one pass over its entries.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -137,11 +138,15 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: negative vertex weight %d", w)
 		}
 	}
-	// Every reverse edge is looked up in its endpoint's list. Scanning
-	// every list would make a hub of degree d cost d² (a star with millions
-	// of leaves fits under mcpartd's request limits), so when every list
-	// longer than scanMax is sorted, as Builder.Finish emits them, those
-	// lists are binary-searched instead.
+	if g.sortedSymmetric() {
+		return nil
+	}
+	// The graph is invalid, or one of its lists is unsorted or names a
+	// neighbor twice; the checks below find its first violation. Every
+	// reverse edge is looked up in its endpoint's list. Scanning every list
+	// would make a hub of degree d cost d² (a star with millions of leaves
+	// fits under mcpartd's request limits), so when every list longer than
+	// scanMax is sorted, those lists are binary-searched instead.
 	search := true
 	for v := int32(0); int(v) < n; v++ {
 		if adj, _ := g.Neighbors(v); len(adj) > scanMax && !slices.IsSorted(adj) {
@@ -184,6 +189,39 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// sortedSymmetric reports whether g passes every adjacency check of
+// Validate in one pass over its entries, which holds for the canonical
+// CSR Builder.Finish emits: every list strictly ascending, every entry in
+// range, not a self-loop, of non-negative weight, and matched by its
+// reverse entry of the same weight. It assumes the checks Validate makes
+// before it. A false result says only that the full checks must run.
+func (g *Graph) sortedSymmetric() bool {
+	n := g.NumVertices()
+	// cursor[u] is u's first lower-neighbor entry not yet matched. The
+	// vertices are visited in ascending order, so u's lower-neighbor
+	// entries are matched in their list order, before u is visited.
+	cursor := make([]int32, n)
+	copy(cursor, g.Xadj[:n])
+	for v := int32(0); int(v) < n; v++ {
+		// Every entry from the cursor on must name a higher neighbor: a
+		// lower one left here has no reverse entry.
+		prev := v
+		for i := cursor[v]; i < g.Xadj[v+1]; i++ {
+			u, w := g.Adjncy[i], g.Adjwgt[i]
+			if u <= prev || int(u) >= n || w < 0 {
+				return false
+			}
+			c := cursor[u]
+			if c == g.Xadj[u+1] || g.Adjncy[c] != v || g.Adjwgt[c] != w {
+				return false
+			}
+			cursor[u] = c + 1
+			prev = u
+		}
+	}
+	return true
+}
+
 // scanMax is the adjacency-list length up to which Validate scans for a
 // reverse edge: on mesh-like degrees a scan beats a binary search.
 const scanMax = 16
@@ -207,9 +245,9 @@ type Edge struct {
 }
 
 // Builder accumulates edges and produces a validated CSR Graph. Duplicate
-// edges are merged by summing their weights; self-loops are rejected at
-// Finish time. The builder exists so generators and file readers do not
-// each reimplement CSR assembly.
+// edges are merged by summing their weights, and a sum past MaxInt32 is
+// an error; self-loops are rejected at Finish time. The builder exists so
+// generators and file readers do not each reimplement CSR assembly.
 type Builder struct {
 	n     int
 	ncon  int
@@ -244,7 +282,15 @@ func (b *Builder) AddEdge(u, v, w int32) {
 	b.edges = append(b.edges, Edge{U: u, V: v, W: w})
 }
 
-// Finish assembles and validates the CSR graph. The builder must not be
+// Grow reserves room for m more edges, so a caller that knows how many
+// edges it will add appends them without growing the edge list.
+func (b *Builder) Grow(m int) {
+	b.edges = slices.Grow(b.edges, m)
+}
+
+// Finish assembles and validates the CSR graph. Each adjacency list is
+// ascending by neighbor and names each neighbor once: repeated edges are
+// merged into one entry of the summed weight. The builder must not be
 // reused afterwards.
 func (b *Builder) Finish() (*Graph, error) {
 	for _, e := range b.edges {
@@ -258,56 +304,105 @@ func (b *Builder) Finish() (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) has negative weight %d", e.U, e.V, e.W)
 		}
 	}
-	// Canonicalize (min,max) endpoint order, sort, and merge duplicates.
-	for i := range b.edges {
-		if b.edges[i].U > b.edges[i].V {
-			b.edges[i].U, b.edges[i].V = b.edges[i].V, b.edges[i].U
-		}
-	}
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
-	merged := b.edges[:0]
-	for _, e := range b.edges {
-		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
-			merged[k-1].W += e.W
-		} else {
-			merged = append(merged, e)
-		}
-	}
-
-	// The int32 CSR bound must hold on the merged total before any Xadj
-	// arithmetic: past it the prefix sums below wrap silently.
-	if err := checkAdjncyLen(2 * int64(len(merged))); err != nil {
+	// Both directions of every edge take an entry until repeats are merged,
+	// and the int32 CSR bound must hold on that total before any Xadj
+	// arithmetic: past it the degree counts and prefix sums wrap silently.
+	if err := checkAdjncyLen(2 * int64(len(b.edges))); err != nil {
 		return nil, err
 	}
 
-	xadj := make([]int32, b.n+1)
-	for _, e := range merged {
+	n := b.n
+	xadj := make([]int32, n+1)
+	for _, e := range b.edges {
 		xadj[e.U+1]++
 		xadj[e.V+1]++
 	}
-	for v := 0; v < b.n; v++ {
+	maxDeg := int32(0)
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, xadj[v+1])
 		xadj[v+1] += xadj[v]
 	}
-	adjncy := make([]int32, xadj[b.n])
-	adjwgt := make([]int32, xadj[b.n])
-	next := make([]int32, b.n)
-	copy(next, xadj[:b.n])
-	for _, e := range merged {
+	adjncy := make([]int32, xadj[n])
+	adjwgt := make([]int32, xadj[n])
+	next := make([]int32, n)
+	copy(next, xadj[:n])
+	for _, e := range b.edges {
 		adjncy[next[e.U]], adjwgt[next[e.U]] = e.V, e.W
 		next[e.U]++
 		adjncy[next[e.V]], adjwgt[next[e.V]] = e.U, e.W
 		next[e.V]++
 	}
-	g := &Graph{Ncon: b.ncon, Xadj: xadj, Adjncy: adjncy, Adjwgt: adjwgt, Vwgt: b.vwgt}
+
+	// Sort each list, then merge its repeated neighbors while compacting
+	// the lists to the front of the arrays. The result depends only on
+	// the multiset of edges, not on the order they were added in.
+	var scratch []uint64
+	if maxDeg > insertionMax {
+		scratch = make([]uint64, maxDeg)
+	}
+	out, start := int32(0), int32(0)
+	for v := 0; v < n; v++ {
+		end := xadj[v+1]
+		sortList(adjncy[start:end], adjwgt[start:end], scratch)
+		first := out
+		for i := start; i < end; i++ {
+			u, w := adjncy[i], adjwgt[i]
+			if out > first && adjncy[out-1] == u {
+				// A pair's sum is formed in the lower endpoint's list
+				// first, so an overflow is reported with v < u.
+				sum := int64(adjwgt[out-1]) + int64(w)
+				if sum > math.MaxInt32 {
+					return nil, fmt.Errorf("graph: repeated edge (%d,%d) sums to a weight past the int32 maximum %d", v, u, math.MaxInt32)
+				}
+				adjwgt[out-1] = int32(sum)
+				continue
+			}
+			adjncy[out], adjwgt[out] = u, w
+			out++
+		}
+		xadj[v] = first
+		start = end
+	}
+	xadj[n] = out
+
+	g := &Graph{Ncon: b.ncon, Xadj: xadj, Adjncy: adjncy[:out:out], Adjwgt: adjwgt[:out:out], Vwgt: b.vwgt}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// insertionMax is the longest adjacency list Finish sorts by insertion.
+// Generators add most of a list in ascending order, so insertion costs
+// little on them; a longer list goes through the scratch, so a hub whose
+// neighbors arrive shuffled does not cost its degree squared.
+const insertionMax = 32
+
+// sortList sorts one adjacency list by neighbor, carrying each entry's
+// weight along. The order of equal neighbors is left open: Finish sums
+// them. scratch holds at least len(adj) keys when len(adj) > insertionMax.
+func sortList(adj, wgt []int32, scratch []uint64) {
+	if len(adj) <= insertionMax {
+		for i := 1; i < len(adj); i++ {
+			u, w := adj[i], wgt[i]
+			j := i
+			for ; j > 0 && adj[j-1] > u; j-- {
+				adj[j], wgt[j] = adj[j-1], wgt[j-1]
+			}
+			adj[j], wgt[j] = u, w
+		}
+		return
+	}
+	// Neighbors and weights are non-negative here, so packing the neighbor
+	// above the weight gives keys that order by neighbor.
+	keys := scratch[:len(adj)]
+	for i, u := range adj {
+		keys[i] = uint64(u)<<32 | uint64(wgt[i])
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		adj[i], wgt[i] = int32(k>>32), int32(uint32(k))
+	}
 }
 
 // MustFinish is Finish but panics on error; for use by generators whose

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -55,16 +57,28 @@ func TestBuilderMergesDuplicateEdges(t *testing.T) {
 }
 
 func TestBuilderRejectsBadInput(t *testing.T) {
-	cases := map[string]func(b *Builder){
-		"self-loop":       func(b *Builder) { b.AddEdge(1, 1, 1) },
-		"negative weight": func(b *Builder) { b.AddEdge(0, 1, -1) },
-		"out of range":    func(b *Builder) { b.AddEdge(0, 9, 1) },
+	// want is a substring the error must contain.
+	cases := map[string]struct {
+		n    int
+		add  func(b *Builder)
+		want string
+	}{
+		"self-loop":       {3, func(b *Builder) { b.AddEdge(1, 1, 1) }, "self-loop"},
+		"negative weight": {3, func(b *Builder) { b.AddEdge(0, 1, -1) }, "negative weight"},
+		"out of range":    {3, func(b *Builder) { b.AddEdge(0, 9, 1) }, "out of range"},
+		"summed weight past int32": {2, func(b *Builder) {
+			for i := 0; i < 3; i++ {
+				b.AddEdge(0, 1, math.MaxInt32)
+			}
+		}, "repeated edge (0,1)"},
 	}
-	for name, f := range cases {
-		b := NewBuilder(3, 1)
-		f(b)
+	for name, c := range cases {
+		b := NewBuilder(c.n, 1)
+		c.add(b)
 		if _, err := b.Finish(); err == nil {
 			t.Errorf("%s: want error", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not contain %q", name, err, c.want)
 		}
 	}
 }

@@ -128,6 +128,7 @@ func TestReadErrors(t *testing.T) {
 		"one-sided duplicate":       {"3 2\n2 2\n1 3\n2\n", "edge {1,2} has weight 2 on vertex 1's line and 1 on vertex 2's"},
 		"self-loop":                 {"2 1\n1 2\n1\n", "self-loop {1,1}"},
 		"negative entry summed out": {"2 1 1\n2 3\n1 5 1 -2\n", "negative weight -2 on edge {1,2}"},
+		"summed weight past int32":  {overflowBody, "repeated edge {1,2}"},
 	}
 	for name, c := range cases {
 		_, err := ReadMETIS(strings.NewReader(c.in))

@@ -60,15 +60,18 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
 	n := g.NumVertices()
 	remap := make([]int32, n)
 	nn := int32(0)
+	entries := 0 // adjacency entries of the kept vertices: twice an upper bound on the kept edges
 	for v := 0; v < n; v++ {
 		if keep[v] {
 			remap[v] = nn
 			nn++
+			entries += g.Degree(int32(v))
 		} else {
 			remap[v] = -1
 		}
 	}
 	b := NewBuilder(int(nn), g.Ncon)
+	b.Grow(entries / 2)
 	for v := int32(0); int(v) < n; v++ {
 		if remap[v] < 0 {
 			continue

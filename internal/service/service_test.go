@@ -162,6 +162,7 @@ func TestBuildSpecValidation(t *testing.T) {
 		{"garbage graph", PartitionRequest{Graph: "not a graph", K: 2}, "graph:"},
 		{"k over n", PartitionRequest{Graph: "2 1 11\n1 2 1\n1 1 1\n", K: 5}, "exceeds vertex count"},
 		{"one-sided edge", PartitionRequest{Graph: "2 1 10\n1 2\n1\n", K: 1}, "vertex 2 does not list 1"},
+		{"summed weight past int32", PartitionRequest{Graph: "2 1 1\n2 2147483647 2 2147483647 2 2147483647\n1 2147483647 1 2147483647 1 2147483647\n", K: 1}, "repeated edge {1,2}"},
 		{"empty graph overlay", PartitionRequest{Graph: "0 0\n", K: 1, Workload: "type2", M: 2}, "exceeds vertex count"},
 	}
 	for _, tc := range cases {

@@ -187,13 +187,13 @@ func DegreeSkewed(g *graph.Graph) bool {
 //     share of headroom — and it still leaves initial partitioning ample
 //     granularity: at the default coarsenTo = max(30k, 2000) the cap is at
 //     most a tenth of a subdomain's target weight.
-//   - A per-level shrink bound of 8x the current level's average vertex
-//     weight. Without it, label propagation collapses a 50k-vertex
+//   - A per-level shrink bound of 1 + 2x the current level's average
+//     vertex weight. Without it, label propagation collapses a 50k-vertex
 //     power-law graph straight to the global ceiling in one level (a >12x
 //     jump), and the uncoarsening phase gets almost no intermediate levels
 //     to refine across — measurably worse cuts. Bounding each level's
-//     clusters to ~8 average vertices keeps the hierarchy geometric, like
-//     matching's, just steeper.
+//     clusters to ~2 average vertices keeps the hierarchy geometric, like
+//     matching's.
 func clusterCaps(g *graph.Graph, coarsenTo int, tol float64) []int64 {
 	n := int64(g.NumVertices())
 	caps := make([]int64, g.Ncon)

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -46,6 +47,28 @@ func TestFinishAllocBudget(t *testing.T) {
 		n, m, got, float64(got)/float64(m), budget)
 	if got > budget {
 		t.Errorf("Finish allocated %d B, past the budget of %d B (16 B/edge + 16 B/vertex + 8 B x longest list)", got, budget)
+	}
+}
+
+// TestReadMETISReserveBound: the reader reserves its edge lists from the
+// header only as far as the input it holds can back them, four bytes per
+// edge. A header that declares 10^8 edges over a three-line body costs
+// the scanner's 64 KiB buffer and a few small arrays; reserving the
+// header's count would take 2.4 GB.
+func TestReadMETISReserveBound(t *testing.T) {
+	const body = "3 100000000\n2\n1 3\n2\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := graph.ReadMETIS(strings.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "header declares 100000000 edges, found 2") {
+		t.Fatalf("err = %v, want the edge count mismatch", err)
+	}
+	const budget = 128 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a header declaring 10^8 edges over %d bytes: %d B allocated (budget %d B)", len(body), got, budget)
+	if got > budget {
+		t.Errorf("allocated %d B, past the budget of %d B", got, budget)
 	}
 }
 

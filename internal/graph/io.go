@@ -84,8 +84,14 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 // size before any size-proportional allocation happens. Servers parsing
 // client-supplied graphs should use this entry point.
 func ReadMETISLimited(r io.Reader, lim Limits) (*Graph, error) {
+	// An in-memory reader reports what is left of the input, which bounds
+	// the edges it can still hold.
+	remaining := -1
+	if l, ok := r.(interface{ Len() int }); ok {
+		remaining = l.Len()
+	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 64<<10), 1<<26)
 
 	line, err := nextDataLine(sc)
 	if err != nil {
@@ -142,6 +148,15 @@ func ReadMETISLimited(r io.Reader, lim Limits) (*Graph, error) {
 	// against the built graph.
 	b := NewBuilder(n, ncon)
 	var lower []Edge
+	// Every edge costs at least four bytes over its two lines (a neighbor
+	// digit and a separator on each), so a header that overstates m
+	// reserves no more than the input can hold. Without a known length
+	// the lists grow as entries are parsed.
+	if remaining >= 0 {
+		reserve := min(m, remaining/4)
+		b.Grow(reserve)
+		lower = make([]Edge, 0, reserve)
+	}
 	added := 0
 	vwgt := make([]int32, ncon)
 	for v := 0; v < n; v++ {

@@ -50,7 +50,14 @@ type cacheEntry struct {
 	// so deleting it from the prints index does nothing.
 	print bodyPrint
 	shape responseShape
+	// reply is the encoded answer of a body-print hit, stored on the
+	// entry's first one. It depends only on res and shape, so a refresh
+	// of res drops it and a replaced print keeps it.
+	reply []byte
 }
+
+// size is the entry's share of the mcpartd_cache_bytes gauge.
+func (e *cacheEntry) size() int64 { return approxSize(e.res) + int64(len(e.reply)) }
 
 // approxSize estimates a result's resident footprint for the
 // mcpartd_cache_bytes gauge: the dominant slices plus a small fixed
@@ -82,18 +89,38 @@ func (c *resultCache) get(k cacheKey) *Result {
 	return el.Value.(*cacheEntry).res
 }
 
-// getPrint returns the result and response shape of the entry body print
-// p is attached to, refreshing its recency as get does.
-func (c *resultCache) getPrint(p bodyPrint) (*Result, responseShape, bool) {
+// getPrint returns the result, response shape and stored hit reply (nil
+// until keepReply stores one) of the entry body print p is attached to,
+// refreshing its recency as get does.
+func (c *resultCache) getPrint(p bodyPrint) (*Result, responseShape, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.prints[p]
 	if !ok {
-		return nil, responseShape{}, false
+		return nil, responseShape{}, nil, false
 	}
 	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
-	return e.res, e.shape, true
+	return e.res, e.shape, e.reply, true
+}
+
+// keepReply stores reply, the body-print hit reply encoded from res, with
+// the entry p is attached to. It does nothing when p no longer resolves,
+// when the entry no longer holds res, or when a concurrent first hit
+// stored its reply first.
+func (c *resultCache) keepReply(p bodyPrint, res *Result, reply []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.prints[p]
+	if !ok {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	if e.res != res || e.reply != nil {
+		return
+	}
+	e.reply = reply
+	c.bytes += int64(len(reply))
 }
 
 // attach aliases body print p to the resident entry of k, replacing the
@@ -114,8 +141,9 @@ func (c *resultCache) attach(k cacheKey, p bodyPrint, shape responseShape) {
 }
 
 // put inserts (or refreshes) a result, evicting the least recently used
-// entry, and its body print, when over capacity. A refresh keeps the
-// entry's print. A capacity of zero disables caching.
+// entry, with its body print and stored reply, when over capacity. A
+// refresh keeps the entry's print and drops its stored reply. A capacity
+// of zero disables caching.
 func (c *resultCache) put(k cacheKey, r *Result) {
 	if c.cap <= 0 {
 		return
@@ -124,8 +152,9 @@ func (c *resultCache) put(k cacheKey, r *Result) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		e := el.Value.(*cacheEntry)
-		c.bytes += approxSize(r) - approxSize(e.res)
-		e.res = r
+		c.bytes -= e.size()
+		e.res, e.reply = r, nil
+		c.bytes += e.size()
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -137,7 +166,7 @@ func (c *resultCache) put(k cacheKey, r *Result) {
 		e := last.Value.(*cacheEntry)
 		delete(c.items, e.key)
 		delete(c.prints, e.print)
-		c.bytes -= approxSize(e.res)
+		c.bytes -= e.size()
 		if c.onEvict != nil {
 			c.onEvict()
 		}

@@ -55,21 +55,21 @@ func TestCachePrints(t *testing.T) {
 	c.put(key(1), &Result{Cut: 1})
 	c.attach(key(1), fp(1), shape)
 	c.attach(key(1), fp(2), shape)
-	if _, _, ok := c.getPrint(fp(1)); ok {
+	if _, _, _, ok := c.getPrint(fp(1)); ok {
 		t.Fatal("a replaced print still resolves")
 	}
-	if res, sh, ok := c.getPrint(fp(2)); !ok || res.Cut != 1 || sh != shape {
+	if res, sh, _, ok := c.getPrint(fp(2)); !ok || res.Cut != 1 || sh != shape {
 		t.Fatalf("latest print: ok %v, shape %+v", ok, sh)
 	}
 	if n := printsLen(c); n != 1 {
 		t.Fatalf("one entry holds %d prints, want 1", n)
 	}
 	c.put(key(1), &Result{Cut: 7})
-	if res, _, ok := c.getPrint(fp(2)); !ok || res.Cut != 7 {
+	if res, _, _, ok := c.getPrint(fp(2)); !ok || res.Cut != 7 {
 		t.Fatal("refresh dropped the entry's print or kept the old result")
 	}
 	c.attach(key(9), fp(9), shape) // not resident: nothing to alias
-	if _, _, ok := c.getPrint(fp(9)); ok {
+	if _, _, _, ok := c.getPrint(fp(9)); ok {
 		t.Fatal("print attached to a key that is not resident")
 	}
 	c.put(key(2), &Result{Cut: 2})
@@ -84,6 +84,75 @@ func TestCachePrints(t *testing.T) {
 	if n := printsLen(off); n != 0 {
 		t.Fatalf("zero-capacity cache attached %d prints", n)
 	}
+}
+
+// TestCacheReplies covers the stored hit replies: keepReply stores bytes
+// only for the result the entry still holds, once, and counts them in the
+// cache bytes; a replaced print keeps them; a refresh by put and an
+// eviction each drop them.
+func TestCacheReplies(t *testing.T) {
+	fp := func(b byte) bodyPrint { return bodyPrint(key(b)) }
+	shape := responseShape{n: 3, m: 1, k: 2}
+	c := newResultCache(2)
+	stored := func(p bodyPrint) (*Result, []byte) {
+		t.Helper()
+		res, _, reply, ok := c.getPrint(p)
+		if !ok {
+			t.Fatalf("print %d does not resolve", p[0])
+		}
+		return res, reply
+	}
+	wantBytes := func(want int64) {
+		t.Helper()
+		if got := c.bytesNow(); got != want {
+			t.Fatalf("cache bytes = %d, want %d", got, want)
+		}
+	}
+
+	c.put(key(1), &Result{Labels: []int32{0, 1, 1}, Cut: 1})
+	c.attach(key(1), fp(1), shape)
+	res, reply := stored(fp(1))
+	if reply != nil {
+		t.Fatalf("a fresh entry holds a reply of %d bytes", len(reply))
+	}
+	base := c.bytesNow()
+	c.keepReply(fp(1), &Result{Cut: 1}, []byte("another result\n"))
+	if _, reply := stored(fp(1)); reply != nil {
+		t.Fatal("stored a reply encoded from a result the entry does not hold")
+	}
+	wantBytes(base)
+
+	first := []byte("first\n")
+	c.keepReply(fp(1), res, first)
+	if _, reply := stored(fp(1)); string(reply) != string(first) {
+		t.Fatalf("stored reply = %q, want %q", reply, first)
+	}
+	wantBytes(base + int64(len(first)))
+	c.keepReply(fp(1), res, []byte("a racing first hit's\n"))
+	if _, reply := stored(fp(1)); string(reply) != string(first) {
+		t.Fatalf("a second keepReply replaced the stored reply with %q", reply)
+	}
+	wantBytes(base + int64(len(first)))
+
+	c.attach(key(1), fp(2), shape)
+	if _, reply := stored(fp(2)); string(reply) != string(first) {
+		t.Fatal("a replaced print dropped the stored reply")
+	}
+	c.put(key(1), &Result{Labels: []int32{0, 1, 1}, Cut: 1})
+	res, reply = stored(fp(2))
+	if reply != nil {
+		t.Fatal("a refresh kept the reply of the result it replaced")
+	}
+	wantBytes(base)
+
+	c.keepReply(fp(2), res, first)
+	wantBytes(base + int64(len(first)))
+	c.put(key(2), &Result{Cut: 2})
+	c.put(key(3), &Result{Cut: 3}) // evicts key(1)
+	if _, _, _, ok := c.getPrint(fp(2)); ok {
+		t.Fatal("the evicted entry's print still resolves")
+	}
+	wantBytes(2 * approxSize(&Result{}))
 }
 
 func TestCacheKeyCanonicalization(t *testing.T) {

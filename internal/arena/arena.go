@@ -85,6 +85,16 @@ func (a *Arena) Bool(n int) []bool { return a.bl.alloc(n) }
 // BoolZero carves a zeroed []bool of length n.
 func (a *Arena) BoolZero(n int) []bool { s := a.bl.alloc(n); clear(s); return s }
 
+// ReserveI32 makes the next carves of n int32s in all fit the slab without
+// growth. A caller that knows its working set up front grows a cold slab
+// once, to the exact size, where carving slice by slice would grow it by
+// doublings and keep every outgrown buffer alive through the slices
+// already carved from it.
+func (a *Arena) ReserveI32(n int) { a.i32.reserve(n) }
+
+// ReserveBool is ReserveI32 for the bool slab.
+func (a *Arena) ReserveBool(n int) { a.bl.reserve(n) }
+
 // Marker is a timestamped dense marker set over [0, n): starting a new
 // generation is O(1) (a stamp bump), membership tests and insertions are
 // O(1) array operations, and — unlike a plain []int32 stamped with caller
@@ -126,6 +136,51 @@ func (m *Marker) TryMark(i int32) bool {
 // Marked reports whether i is marked in the current generation.
 func (m *Marker) Marked(i int32) bool { return m.stamp[i] == m.cur }
 
+// SlotMarker is a Marker that stores an int32 slot with each mark, packed
+// with the generation into one word (generation<<32 | slot): a scan that
+// looks up or records an index's slot does one load and at most one store,
+// where a Marker beside a slot array costs two of each. The generation is
+// 32 bits, so the array is cleared once every 2^32-1 generations, when it
+// wraps. Single-goroutine, like the Marker.
+type SlotMarker struct {
+	word []uint64
+	cur  uint64 // current generation, shifted into the high 32 bits
+}
+
+// Grow ensures the marker covers indices [0, n). Marks of the current
+// generation are preserved.
+func (m *SlotMarker) Grow(n int) {
+	if n <= len(m.word) {
+		return
+	}
+	grown := make([]uint64, n)
+	copy(grown, m.word)
+	m.word = grown
+}
+
+// Next starts a new, empty generation. It must be called at least once
+// before the first Set (generation zero matches the zero words of a fresh
+// array).
+func (m *SlotMarker) Next() {
+	m.cur += 1 << 32
+	if m.cur == 0 {
+		clear(m.word)
+		m.cur = 1 << 32
+	}
+}
+
+// Slot returns the slot i was marked with in the current generation, or -1
+// when i is unmarked.
+func (m *SlotMarker) Slot(i int32) int32 {
+	if w := m.word[i]; w&^(1<<32-1) == m.cur {
+		return int32(uint32(w))
+	}
+	return -1
+}
+
+// Set marks i in the current generation with slot s (s >= 0).
+func (m *SlotMarker) Set(i, s int32) { m.word[i] = m.cur | uint64(uint32(s)) }
+
 // slab is one grow-only backing store. Growth swaps in a larger buffer
 // without copying: outstanding slices keep aliasing the old buffer (which
 // stays alive through them), and the region below the current offset in the
@@ -138,6 +193,12 @@ type slab[T any] struct {
 }
 
 const minSlab = 256
+
+func (s *slab[T]) reserve(n int) {
+	if s.off+n > len(s.buf) {
+		s.buf = make([]T, s.off+n)
+	}
+}
 
 func (s *slab[T]) alloc(n int) []T {
 	if n < 0 {

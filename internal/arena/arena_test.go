@@ -124,3 +124,75 @@ func TestMarkerGrowPreservesCurrentGeneration(t *testing.T) {
 		t.Fatal("no-op Grow dropped a mark")
 	}
 }
+
+func TestSlotMarkerGenerations(t *testing.T) {
+	var m SlotMarker
+	m.Grow(4)
+	m.Next()
+	if s := m.Slot(1); s != -1 {
+		t.Fatalf("Slot(1) = %d before Set, want -1", s)
+	}
+	m.Set(1, 7)
+	m.Set(3, 0)
+	if s := m.Slot(1); s != 7 {
+		t.Fatalf("Slot(1) = %d, want 7", s)
+	}
+	if s := m.Slot(3); s != 0 {
+		t.Fatalf("Slot(3) = %d, want 0", s)
+	}
+	m.Grow(8)
+	if s := m.Slot(1); s != 7 {
+		t.Fatalf("Grow dropped a current-generation mark: Slot(1) = %d", s)
+	}
+	if s := m.Slot(6); s != -1 {
+		t.Fatalf("grown index 6 reads slot %d", s)
+	}
+	m.Next()
+	if s := m.Slot(1); s != -1 {
+		t.Fatalf("Slot(1) = %d after Next, want -1", s)
+	}
+}
+
+// TestSlotMarkerWrap drives the 32-bit generation to its wrap: the words
+// of the last generation before it must not read marked after it.
+func TestSlotMarkerWrap(t *testing.T) {
+	var m SlotMarker
+	m.Grow(2)
+	m.cur = (1<<32 - 1) << 32 // the last generation before the wrap
+	m.Set(0, 5)
+	if s := m.Slot(0); s != 5 {
+		t.Fatalf("Slot(0) = %d, want 5", s)
+	}
+	m.Next()
+	if m.cur != 1<<32 {
+		t.Fatalf("generation after wrap = %d, want 1", m.cur>>32)
+	}
+	if s := m.Slot(0); s != -1 {
+		t.Fatalf("Slot(0) = %d after the wrap, want -1", s)
+	}
+	// A mark of generation 1 left over from before the wrap is cleared too.
+	m.Set(1, 9)
+	m.cur = (1<<32 - 1) << 32
+	m.Next()
+	if s := m.Slot(1); s != -1 {
+		t.Fatalf("Slot(1) = %d after a second wrap, want -1", s)
+	}
+}
+
+func TestReserveGrowsOnce(t *testing.T) {
+	a := New()
+	a.ReserveI32(3 * minSlab)
+	buf := &a.i32.buf[0]
+	for i := 0; i < 3; i++ {
+		a.I32(minSlab)
+	}
+	if got := len(a.i32.buf); got != 3*minSlab || &a.i32.buf[0] != buf {
+		t.Fatalf("reserved carves grew the slab: length %d, want %d", got, 3*minSlab)
+	}
+	// Reserving within a warm slab keeps its buffer.
+	a.Reset()
+	a.ReserveI32(2 * minSlab)
+	if &a.i32.buf[0] != buf {
+		t.Fatal("reserving within a warm slab reallocated it")
+	}
+}

@@ -41,11 +41,12 @@ func ClusterCaps(where string, g *graph.Graph, cmap []int32, nc int, caps []int6
 }
 
 // GainCache panics if the boundary refiner's incremental id/ed/nfr tables,
-// its boundary set or its candidate gate and count disagree with a
-// from-scratch re-derivation, or if its row bound is below a vertex's
-// heaviest gain row.
-func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) {
-	if err := VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err != nil {
+// its boundary count or its candidate gate and count disagree with a
+// from-scratch re-derivation, if its row bound is below a vertex's
+// heaviest gain row, or if a nonzero rejection mask misses a subdomain
+// whose row reaches the vertex's internal degree.
+func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr []int32, boundary int, rej []uint64, gate []bool, candidates int) {
+	if err := VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err != nil {
 		panic("mcdebug: " + where + ": " + err.Error())
 	}
 }

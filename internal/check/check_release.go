@@ -24,7 +24,7 @@ func Matching(where string, g *graph.Graph, match []int32, maxW int64) {}
 func ClusterCaps(where string, g *graph.Graph, cmap []int32, nc int, caps []int64) {}
 
 // GainCache is a no-op without the mcdebug build tag.
-func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) {
+func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr []int32, boundary int, rej []uint64, gate []bool, candidates int) {
 }
 
 // DegreeCache is a no-op without the mcdebug build tag.

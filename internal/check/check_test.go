@@ -5,6 +5,7 @@ package check_test
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -202,10 +203,11 @@ func TestVerifyMatchingCatches(t *testing.T) {
 }
 
 // TestVerifyGainCacheGate derives consistent gain-cache tables for a round-
-// robin partition, with each vertex's row bound at its external degree,
-// then checks that a flipped candidate gate, a wrong candidate count, a row
-// bound below the heaviest row and one above the external degree are each
-// caught.
+// robin partition, with each vertex's row bound at its external degree and
+// a rejection mask on some boundary vertices, then checks that a flipped
+// candidate gate, a wrong candidate count, a wrong boundary count, a row
+// bound below the heaviest row, one above the external degree, and a stale
+// mask that misses a row reaching the internal degree are each caught.
 func TestVerifyGainCacheGate(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
@@ -214,11 +216,13 @@ func TestVerifyGainCacheGate(t *testing.T) {
 		part[v] = int32(v % 4)
 	}
 	id, ed := make([]int64, n), make([]int64, n)
-	nfr, bndptr := make([]int32, n), make([]int32, n)
+	nfr := make([]int32, n)
+	rej := make([]uint64, n)
 	gate := make([]bool, n)
-	var bnd []int32
-	candidates := 0
+	boundary, candidates := 0, 0
+	masked := int32(-1) // a vertex whose mask holds exactly the rows reaching id
 	for v := int32(0); int(v) < n; v++ {
+		rows := make(map[int32]int64)
 		adj, wgt := g.Neighbors(v)
 		for i, u := range adj {
 			if part[u] == part[v] {
@@ -226,38 +230,69 @@ func TestVerifyGainCacheGate(t *testing.T) {
 			} else {
 				ed[v] += int64(wgt[i])
 				nfr[v]++
+				rows[part[u]] += int64(wgt[i])
 			}
 		}
-		bndptr[v] = -1
 		if nfr[v] > 0 {
-			bndptr[v] = int32(len(bnd))
-			bnd = append(bnd, v)
+			boundary++
 		}
 		if gate[v] = nfr[v] > 0 && ed[v] >= id[v]; gate[v] {
 			candidates++
 		}
+		for _, u := range adj {
+			if b := part[u]; b != part[v] && rows[b] >= id[v] {
+				rej[v] |= 1 << b
+			}
+		}
+		if masked < 0 && rej[v] != 0 {
+			masked = v
+		}
+	}
+	if masked < 0 {
+		t.Fatal("no vertex has a row reaching its internal degree")
 	}
 	maxRow := append([]int64(nil), ed...)
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err != nil {
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err != nil {
 		t.Fatalf("consistent tables rejected: %v", err)
 	}
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates+1); err == nil ||
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates+1); err == nil ||
 		!strings.Contains(err.Error(), "candidate count") {
 		t.Errorf("wrong candidate count: got %v", err)
 	}
-	v := bnd[0]
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary-1, rej, gate, candidates); err == nil ||
+		!strings.Contains(err.Error(), "boundary count") {
+		t.Errorf("wrong boundary count: got %v", err)
+	}
+	v := masked
 	for _, bound := range []int64{0, ed[v] + 1} {
 		maxRow[v] = bound
-		if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err == nil ||
+		if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err == nil ||
 			!strings.Contains(err.Error(), "row bound") {
 			t.Errorf("row bound %d (ed %d): got %v", bound, ed[v], err)
 		}
 	}
 	maxRow[v] = ed[v]
 	gate[v] = !gate[v]
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, bnd, bndptr, gate, candidates); err == nil ||
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err == nil ||
 		!strings.Contains(err.Error(), "candidate gate") {
 		t.Errorf("flipped gate: got %v", err)
+	}
+	gate[v] = !gate[v]
+	// A stale mask: drop one reaching row's bit and keep another bit set,
+	// so the mask stays nonzero (zero means unknown and is always sound).
+	full := rej[v]
+	low := full & -full
+	rej[v] = full&^low | 1<<((bits.TrailingZeros64(low)+1)%4)
+	if rej[v]&low != 0 {
+		t.Fatalf("mask %#x still holds the dropped bit %#x", rej[v], low)
+	}
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err == nil ||
+		!strings.Contains(err.Error(), "rejection mask") {
+		t.Errorf("stale mask %#x (rows reaching id %#x): got %v", rej[v], full, err)
+	}
+	rej[v] = 0
+	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err != nil {
+		t.Errorf("zero mask rejected: %v", err)
 	}
 }
 

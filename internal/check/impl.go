@@ -176,32 +176,20 @@ func VerifyClusterCaps(g *graph.Graph, cmap []int32, nc int, caps []int64) error
 
 // VerifyGainCache checks the boundary refiner's incrementally maintained
 // tables against a from-scratch re-derivation: for every vertex, id/ed must
-// equal the summed edge weight to same-/other-subdomain neighbors, nfr the
-// foreign-neighbor count, and the bnd/bndptr pair must be a consistent
-// boundary set containing exactly the vertices with nfr > 0. The row bound
-// maxRow must be sound, at least the heaviest per-subdomain row a scan
-// derives, and at most ed. The candidate gate must be set exactly for the
-// boundary vertices with maxRow >= id, and candidates must count them.
-func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, bnd, bndptr []int32, gate []bool, candidates int) error {
+// equal the summed edge weight to same-/other-subdomain neighbors and nfr
+// the foreign-neighbor count, and boundary must count the vertices with
+// nfr > 0. The row bound maxRow must be sound, at least the heaviest
+// per-subdomain row a scan derives, and at most ed. The candidate gate must
+// be set exactly for the boundary vertices with maxRow >= id, and
+// candidates must count them. A nonzero rejection mask rej[v] must have
+// bit b&63 set for every subdomain b whose row reaches id[v].
+func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr []int32, boundary int, rej []uint64, gate []bool, candidates int) error {
 	n := g.NumVertices()
-	if len(id) != n || len(ed) != n || len(maxRow) != n || len(nfr) != n || len(bndptr) != n || len(gate) != n {
+	if len(id) != n || len(ed) != n || len(maxRow) != n || len(nfr) != n || len(rej) != n || len(gate) != n {
 		return fmt.Errorf("check: gain-cache table lengths %d/%d/%d/%d/%d/%d, want %d",
-			len(id), len(ed), len(maxRow), len(nfr), len(bndptr), len(gate), n)
+			len(id), len(ed), len(maxRow), len(nfr), len(rej), len(gate), n)
 	}
-	gated := 0
-	inBnd := make([]bool, n)
-	for i, v := range bnd {
-		if v < 0 || int(v) >= n {
-			return fmt.Errorf("check: bnd[%d] = %d out of [0,%d)", i, v, n)
-		}
-		if inBnd[v] {
-			return fmt.Errorf("check: vertex %d appears twice in the boundary list", v)
-		}
-		inBnd[v] = true
-		if bndptr[v] != int32(i) {
-			return fmt.Errorf("check: bndptr[%d] = %d, but vertex sits at bnd[%d]", v, bndptr[v], i)
-		}
-	}
+	gated, onBoundary := 0, 0
 	rows := map[int32]int64{}
 	for v := int32(0); int(v) < n; v++ {
 		a := part[v]
@@ -228,11 +216,8 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, 
 		if nfr[v] != wantNfr {
 			return fmt.Errorf("check: cached nfr[%d] = %d, scratch re-derivation %d", v, nfr[v], wantNfr)
 		}
-		if want := wantNfr > 0; inBnd[v] != want {
-			return fmt.Errorf("check: vertex %d boundary membership %v, scratch re-derivation %v", v, inBnd[v], want)
-		}
-		if !inBnd[v] && bndptr[v] != -1 {
-			return fmt.Errorf("check: interior vertex %d has bndptr %d, want -1", v, bndptr[v])
+		if wantNfr > 0 {
+			onBoundary++
 		}
 		if maxRow[v] < heaviest || maxRow[v] > wantED {
 			return fmt.Errorf("check: vertex %d row bound %d outside [heaviest row %d, ed %d]",
@@ -245,6 +230,18 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr, 
 		if gate[v] {
 			gated++
 		}
+		if rej[v] == 0 {
+			continue
+		}
+		for _, u := range adj {
+			if b := part[u]; b != a && rows[b] >= wantID && rej[v]&(1<<(b&63)) == 0 {
+				return fmt.Errorf("check: vertex %d rejection mask %#x misses subdomain %d, whose row %d reaches id %d",
+					v, rej[v], b, rows[b], wantID)
+			}
+		}
+	}
+	if boundary != onBoundary {
+		return fmt.Errorf("check: running boundary count %d, scratch recount %d", boundary, onBoundary)
 	}
 	if candidates != gated {
 		return fmt.Errorf("check: running candidate count %d, scratch recount %d", candidates, gated)

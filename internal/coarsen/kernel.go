@@ -45,8 +45,7 @@ type scratch struct {
 	reps, mems, offs   []int32 // per-worker prefix sums: coarse ids, members, stage segments
 	stageAdj, stageWgt []int32 // merged coarse edges, the fine level's nnz in total
 
-	markers []arena.Marker // per-worker parallel-edge dedup, by coarse vertex
-	slots   [][]int32      // per-worker stage index of a marked coarse neighbor
+	markers []arena.SlotMarker // per-worker parallel-edge dedup: the stage index of each coarse neighbor
 
 	lo, hi int // current propose chunk, read by the hoisted closure
 }
@@ -60,8 +59,7 @@ func newScratch(workers int) *scratch {
 		reps:    make([]int32, w+1),
 		mems:    make([]int32, w+1),
 		offs:    make([]int32, w+1),
-		markers: make([]arena.Marker, w),
-		slots:   make([][]int32, w),
+		markers: make([]arena.SlotMarker, w),
 	}
 }
 
@@ -300,8 +298,10 @@ func clusterMembers(cmap []int32, nc int, s *scratch) (head, members []int32) {
 // neighbor in order of first appearance. The retained arrays are carved
 // from hlv. The workers own disjoint coarse-vertex ranges: a sizing pass
 // gives each range a stage segment as long as its members' degree sum,
-// the emission pass merges into the segment through the worker's epoch
-// marker (one generation per coarse vertex, never cleared), and the CSR is
+// the emission pass merges into the segment through the worker's slot
+// marker (one generation per coarse vertex, cleared only when its 32-bit
+// generation wraps; each word packs the generation with the neighbor's
+// stage index), and the CSR is
 // one prefix sum over the per-vertex counts plus a copy of each segment.
 func contract(g *graph.Graph, cmap []int32, nc int, head, members []int32, s *scratch, hlv *hier.Level) *graph.Graph {
 	m, workers := g.Ncon, s.workers
@@ -330,7 +330,6 @@ func contract(g *graph.Graph, cmap []int32, nc int, head, members []int32, s *sc
 		// lines, and every generation writes the epoch.
 		mk := s.markers[w]
 		mk.Grow(nc)
-		slot := grow(&s.slots[w], nc)
 		cur := offs[w]
 		for cv := clo; cv < chi; cv++ {
 			start := cur
@@ -339,7 +338,7 @@ func contract(g *graph.Graph, cmap []int32, nc int, head, members []int32, s *sc
 				for c := 0; c < m; c++ {
 					cvwgt[cv*m+c] += vwgt[int(v)*m+c]
 				}
-				cur = merge(g, cmap, v, int32(cv), &mk, slot, stageAdj, stageWgt, cur)
+				cur = merge(g, cmap, v, int32(cv), &mk, stageAdj, stageWgt, cur)
 			}
 			cxadj[cv+1] = cur - start
 		}
@@ -360,23 +359,23 @@ func contract(g *graph.Graph, cmap []int32, nc int, head, members []int32, s *sc
 
 // merge adds fine vertex v's edges to coarse vertex cv's list, which
 // grows at stage position cur: an edge to a coarse neighbor not yet marked
-// in the current generation is appended, and its stage index noted in
-// slot; an edge to a marked one adds its weight there. It returns the
-// advanced cursor.
-func merge(g *graph.Graph, cmap []int32, v, cv int32, mk *arena.Marker, slot, stageAdj, stageWgt []int32, cur int32) int32 {
+// in the current generation is appended, and the neighbor marked with its
+// stage index; an edge to a marked one adds its weight there. It returns
+// the advanced cursor.
+func merge(g *graph.Graph, cmap []int32, v, cv int32, mk *arena.SlotMarker, stageAdj, stageWgt []int32, cur int32) int32 {
 	xadj, adjncy, adjwgt := g.Xadj, g.Adjncy, g.Adjwgt
 	for i := xadj[v]; i < xadj[v+1]; i++ {
 		cu := cmap[adjncy[i]]
 		if cu == cv {
 			continue
 		}
-		if mk.TryMark(cu) {
-			slot[cu] = cur
+		if j := mk.Slot(cu); j >= 0 {
+			stageWgt[j] += adjwgt[i]
+		} else {
+			mk.Set(cu, cur)
 			stageAdj[cur] = cu
 			stageWgt[cur] = adjwgt[i]
 			cur++
-		} else {
-			stageWgt[slot[cu]] += adjwgt[i]
 		}
 	}
 	return cur

@@ -80,9 +80,12 @@ func (g *Graph) Neighbors(v int32) (adj, wgt []int32) {
 
 // TotalVertexWeight returns the m-component sum of all vertex weights.
 func (g *Graph) TotalVertexWeight() []int64 {
-	tot := make([]int64, g.Ncon)
-	for i, w := range g.Vwgt {
-		tot[i%g.Ncon] += int64(w)
+	m := g.Ncon
+	tot := make([]int64, m)
+	for v := 0; v < g.NumVertices(); v++ {
+		for c, w := range g.Vwgt[v*m : (v+1)*m] {
+			tot[c] += int64(w)
+		}
 	}
 	return tot
 }

@@ -1,6 +1,8 @@
 package kwayrefine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/initpart"
 	"repro/internal/metrics"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // The boundary refinement contract (DESIGN.md): the refiner with its
@@ -71,10 +74,26 @@ func zeroEdges(g *graph.Graph) *graph.Graph {
 	return z
 }
 
+// skew returns a copy of part with about one in seven vertices outside
+// subdomain 0 pulled into it, so refinement opens with balance passes.
+func skew(part []int32) []int32 {
+	out := append([]int32(nil), part...)
+	r := rng.New(9)
+	for v := range out {
+		if out[v] != 0 && r.Intn(7) == 0 {
+			out[v] = 0
+		}
+	}
+	return out
+}
+
 // TestBoundaryDrivenMatchesReference sweeps a (graph, m, k, seed, passes)
 // grid: two meshes at m ∈ {1, 3} and k ∈ {4, 8}, plus a mesh with
-// zero-weight edges, Type 2 weights at m=5, and a power-law graph at k=32.
-// Run under -race in CI; the graphs are kept modest for that.
+// zero-weight edges, Type 2 weights at m=5, and a power-law graph at
+// k ∈ {32, 96, 128}, whose rejection masks fold subdomains past 64 onto
+// one bit. Each problem also starts once from a skewed partition, so
+// balance passes run between the greedy passes' masked visits. Run under
+// -race in CI; the graphs are kept modest for that.
 func TestBoundaryDrivenMatchesReference(t *testing.T) {
 	type problem struct {
 		name string
@@ -99,19 +118,72 @@ func TestBoundaryDrivenMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	plaw := gen.Type1(gen.PowerLaw(3000, 8, 2.5, 7), 2, 17)
 	problems = append(problems,
 		problem{"zero-edges mrng-10x10x10 m=3", gen.Type1(zeroEdges(gen.MRNGLike(10, 10, 10, 5)), 3, 17), 8},
 		problem{"type2 mrng-10x10x10 m=5", gen.Type2(gen.MRNGLike(10, 10, 10, 5), 5, 17), 8},
-		problem{"powerlaw-3000 m=2", gen.Type1(gen.PowerLaw(3000, 8, 2.5, 7), 2, 17), 32},
+		problem{"powerlaw-3000 m=2", plaw, 32},
+		problem{"powerlaw-3000 m=2", plaw, 96},
+		problem{"powerlaw-3000 m=2", plaw, 128},
 	)
 	for _, p := range problems {
 		part := initpart.RecursiveBisect(p.g, p.k, rng.New(2), initpart.Options{Tol: 0.05})
-		for _, seed := range []uint64{3, 101} {
-			for _, passes := range []int{1, 8} {
-				tag := fmt.Sprintf("%s k=%d seed=%d passes=%d", p.name, p.k, seed, passes)
-				runBoth(t, tag, p.g, part, p.k, passes, seed, false)
+		for _, start := range []struct {
+			name string
+			part []int32
+		}{{"", part}, {" skewed", skew(part)}} {
+			for _, seed := range []uint64{3, 101} {
+				for _, passes := range []int{1, 8} {
+					tag := fmt.Sprintf("%s k=%d%s seed=%d passes=%d", p.name, p.k, start.name, seed, passes)
+					runBoth(t, tag, p.g, start.part, p.k, passes, seed, false)
+				}
 			}
 		}
+	}
+}
+
+// TestGreedyPassSkipsRejected is the work test of the rejection masks,
+// which the outputs alone cannot show: on a power-law input, every pass
+// after the first gathers fewer candidates than it starts with.
+func TestGreedyPassSkipsRejected(t *testing.T) {
+	g := gen.Type1(gen.PowerLaw(20000, 8, 2.5, 7), 2, 17)
+	part := initpart.RecursiveBisect(g, 32, rng.New(2), initpart.Options{Tol: 0.05})
+	tr := trace.New("test")
+	ref := NewRefiner(32, g.Ncon, Options{Tol: 0.05, Trace: tr.Rank(0)})
+	ref.Refine(g, part, rng.New(3))
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var exported struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Args struct {
+				Candidates, Gathered *int
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &exported); err != nil {
+		t.Fatal(err)
+	}
+	pass := 0
+	for _, e := range exported.TraceEvents {
+		if e.Name != "refine.pass" || e.Ph != "E" {
+			continue
+		}
+		if e.Args.Candidates == nil || e.Args.Gathered == nil {
+			t.Fatalf("refine.pass span %d ends without candidates and gathered", pass)
+		}
+		cand, gathered := *e.Args.Candidates, *e.Args.Gathered
+		t.Logf("pass %d: %d candidates, %d gathered", pass, cand, gathered)
+		if pass > 0 && gathered >= cand {
+			t.Errorf("pass %d gathered %d of %d candidates, want fewer", pass, gathered, cand)
+		}
+		pass++
+	}
+	if pass < 2 {
+		t.Fatalf("%d refinement passes ran, want at least 2", pass)
 	}
 }
 
@@ -125,14 +197,7 @@ func TestBoundaryBalanceMatchesReference(t *testing.T) {
 		if m > 1 {
 			g = gen.Type1(base, m, 17)
 		}
-		part := initpart.RecursiveBisect(g, 8, rng.New(2), initpart.Options{Tol: 0.05})
-		// Skew: pull ~1/7 of the other subdomains' vertices into part 0.
-		r := rng.New(9)
-		for v := range part {
-			if part[v] != 0 && r.Intn(7) == 0 {
-				part[v] = 0
-			}
-		}
+		part := skew(initpart.RecursiveBisect(g, 8, rng.New(2), initpart.Options{Tol: 0.05}))
 		if imb := metrics.MaxImbalance(g, part, 8); imb < 1.10 {
 			t.Fatalf("m=%d: injection too weak: %.3f", m, imb)
 		}
@@ -171,8 +236,8 @@ func TestRefineAllocBudget(t *testing.T) {
 }
 
 // TestReserveMemoryBudget is the committed memory budget of a reserved
-// refiner: every table is per-vertex, 41 bytes a vertex (order, nfr, bnd
-// and bndptr at 4, id, ed and maxRow at 8, the gate at 1), and nothing is
+// refiner: every table is per-vertex, 41 bytes a vertex (order and nfr at
+// 4, id, ed, maxRow and the rejection mask at 8, the gate at 1), and nothing is
 // sized by the edge count. The graph is large enough that allocation
 // size-class rounding adds less than a byte per vertex.
 func TestReserveMemoryBudget(t *testing.T) {

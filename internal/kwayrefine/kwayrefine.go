@@ -6,22 +6,27 @@
 // that accepts cut-increasing moves to drain overweight subdomains.
 //
 // Refinement is boundary-driven, as the paper describes ("the vertices that
-// are on the boundary of the partition are visited"): the refiner maintains
-// an explicit boundary set plus per-vertex internal/external edge-weight
-// tables (the gain cache), seeded by one O(m) scan in setup and updated
-// incrementally — only the moved vertex and its neighbors — on every move.
-// The cache also keeps maxRow, an upper bound on each vertex's heaviest gain
-// row (edge weight toward one foreign subdomain), and a one-byte candidate
-// gate per vertex, set for boundary vertices with maxRow >= id: a vertex
-// whose every row is below its internal degree has no move with gain >= 0.
-// A greedy pass therefore costs O(n) for the random permutation plus
-// O(degree) per *candidate*, and most boundary vertices are not candidates.
-// All tables are O(n); no per-edge state is kept. The refiner is pinned
+// are on the boundary of the partition are visited"): the refiner keeps
+// per-vertex internal/external edge-weight tables (the gain cache) and a
+// count of the boundary vertices they induce, seeded by one O(m) scan in
+// setup and updated incrementally — only the moved vertex and its
+// neighbors — on every move. The cache also keeps maxRow, an upper bound on
+// each vertex's heaviest gain row (edge weight toward one foreign
+// subdomain), and a one-byte candidate gate per vertex, set for boundary
+// vertices with maxRow >= id: a vertex whose every row is below its
+// internal degree has no move with gain >= 0. A candidate that was
+// evaluated and stayed keeps a rejection mask of the subdomains whose row
+// may reach its internal degree, so its next visit skips the adjacency scan
+// unless one of them can take it. A greedy pass therefore costs O(n) for
+// the random permutation plus O(degree) per candidate it gathers. All
+// tables are O(n); no per-edge state is kept. The refiner is pinned
 // bit-identical to a full-scan reference kept in reference_test.go (see
 // DESIGN.md, "Boundary refinement contract").
 package kwayrefine
 
 import (
+	"math/bits"
+
 	"repro/internal/check"
 	"repro/internal/gaincache"
 	"repro/internal/graph"
@@ -45,9 +50,9 @@ type Options struct {
 	Stop func() bool
 	// Trace, when non-nil, records one "refine.pass" span per refinement
 	// pass (the observability hook; see DESIGN.md, "Observability"),
-	// attributed with the boundary size and candidate count at pass start
-	// and the gain-cache entries rewritten during the pass. nil disables
-	// all recording.
+	// attributed with the boundary size and candidate count at pass start,
+	// and the candidates gathered and gain-cache entries rewritten during
+	// the pass. nil disables all recording.
 	Trace *trace.Rank
 }
 
@@ -85,19 +90,21 @@ type Refiner struct {
 	order []int32
 
 	// The gain cache: per-vertex internal (same-subdomain) and external
-	// edge weight, foreign-neighbor count, and the boundary set it induces
-	// (bndptr[v] is v's index in bnd, -1 for interior vertices); maxRow[v],
-	// an upper bound on v's heaviest gain row, never above ed[v]; and the
-	// candidate gate gate[v] = nfr[v] > 0 && maxRow[v] >= id[v] with its
-	// running count. Seeded by setup with one O(m) scan; gatherRows makes
-	// maxRow[v] exact, and apply rewrites only the moved vertex's and its
-	// neighbors' entries.
+	// edge weight, foreign-neighbor count, and the number of boundary
+	// vertices (nfr > 0) it induces; maxRow[v], an upper bound on v's
+	// heaviest gain row, never above ed[v]; the candidate gate gate[v] =
+	// nfr[v] > 0 && maxRow[v] >= id[v] with its running count; and the
+	// rejection mask rej[v], zero when unknown, else a superset of the
+	// subdomains whose row reaches id[v] (bit b&63 for subdomain b, so one
+	// bit stands for every subdomain congruent to it when k > 64). Seeded
+	// by setup with one O(m) scan; gatherRows makes maxRow[v] exact, and
+	// apply rewrites only the moved vertex's and its neighbors' entries.
 	id, ed     []int64
 	maxRow     []int64
 	nfr        []int32
-	bnd        []int32
-	bndptr     []int32
+	rej        []uint64
 	gate       []bool
+	boundary   int
 	candidates int
 	updates    int64 // gain-cache entries rewritten by apply (trace counter)
 }
@@ -127,16 +134,15 @@ func (r *Refiner) grow(n int) {
 		r.ed = make([]int64, 0, n)
 		r.maxRow = make([]int64, 0, n)
 		r.nfr = make([]int32, 0, n)
-		r.bnd = make([]int32, 0, n)
-		r.bndptr = make([]int32, 0, n)
+		r.rej = make([]uint64, 0, n)
 		r.gate = make([]bool, 0, n)
 	}
 }
 
 // setup recomputes subdomain weights, averages and limits for g/part, seeds
-// the gain cache (id/ed/nfr and the boundary set) with one scan over the
-// edges, and sizes the per-vertex scratch — the single shared preamble for
-// every entry point (Refine and Balance).
+// the gain cache (id/ed/nfr and the boundary count) with one scan over the
+// edges, clears every rejection mask, and sizes the per-vertex scratch —
+// the single shared preamble for every entry point (Refine and Balance).
 func (r *Refiner) setup(g *graph.Graph, part []int32) {
 	for i := range r.pwgts {
 		r.pwgts[i] = 0
@@ -149,17 +155,22 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 	r.ed = r.ed[:n]
 	r.maxRow = r.maxRow[:n]
 	r.nfr = r.nfr[:n]
-	r.bndptr = r.bndptr[:n]
-	r.bnd = r.bnd[:0]
+	r.rej = r.rej[:n]
+	clear(r.rej)
 	r.gate = r.gate[:n]
+	r.boundary = 0
 	r.candidates = 0
 	for v := 0; v < n; v++ {
 		vecw.Add(r.pwgts[int(part[v])*m:(int(part[v])+1)*m], g.Vwgt[v*m:(v+1)*m])
 	}
-	total := g.TotalVertexWeight()
+	// The constraint totals are the subdomain weights summed.
 	for c := 0; c < m; c++ {
-		r.avg[c] = float64(total[c]) / float64(r.k)
-		lim := vecw.Limit(total[c], r.k, r.opt.Tol)
+		var total int64
+		for s := 0; s < r.k; s++ {
+			total += r.pwgts[s*m+c]
+		}
+		r.avg[c] = float64(total) / float64(r.k)
+		lim := vecw.Limit(total, r.k, r.opt.Tol)
 		for s := 0; s < r.k; s++ {
 			r.limit[s*m+c] = lim
 		}
@@ -181,10 +192,7 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 		}
 		r.id[v], r.ed[v], r.maxRow[v], r.nfr[v] = id, ed, ed, nfr
 		if nfr > 0 {
-			r.bndptr[v] = int32(len(r.bnd))
-			r.bnd = append(r.bnd, v)
-		} else {
-			r.bndptr[v] = -1
+			r.boundary++
 		}
 		r.gate[v] = false
 		r.setGate(v)
@@ -199,11 +207,6 @@ func (r *Refiner) setup(g *graph.Graph, part []int32) {
 // Cut returns the edge-cut as seeded by setup and maintained incrementally
 // across moves; valid after Refine/Balance.
 func (r *Refiner) Cut() int64 { return r.cut }
-
-// BoundarySize returns the current number of boundary vertices (vertices
-// with at least one neighbor in another subdomain); valid after
-// Refine/Balance.
-func (r *Refiner) BoundarySize() int { return len(r.bnd) }
 
 // PartWeights returns a copy of the current k*m subdomain weight vectors;
 // valid after Refine/Balance.
@@ -226,23 +229,25 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
 				trace.I64("n", int64(g.NumVertices())),
-				trace.I64("boundary_n", int64(len(r.bnd))))
+				trace.I64("boundary_n", int64(r.boundary)))
 		}
 		moves := 0
 		if r.imbalanced() {
 			moves += r.balancePass(g, part, rand)
 		}
-		moves += r.greedyPass(g, part, rand)
+		greedyMoves, gathered := r.greedyPass(g, part, rand)
+		moves += greedyMoves
 		totalMoves += moves
 		if r.opt.Trace != nil {
 			r.opt.Trace.End(
 				trace.I64("moves", int64(moves)),
 				trace.I64("candidates", int64(candidates0)),
+				trace.I64("gathered", int64(gathered)),
 				trace.I64("gain_cache_updates", r.updates-updates0))
 		}
 		if check.Enabled {
 			check.GainCache("kwayrefine: after refine pass", g, part,
-				r.id, r.ed, r.maxRow, r.nfr, r.bnd, r.bndptr, r.gate, r.candidates)
+				r.id, r.ed, r.maxRow, r.nfr, r.boundary, r.rej, r.gate, r.candidates)
 		}
 		if moves == 0 {
 			break
@@ -264,7 +269,7 @@ func (r *Refiner) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		total += moves
 		if check.Enabled {
 			check.GainCache("kwayrefine: after balance pass", g, part,
-				r.id, r.ed, r.maxRow, r.nfr, r.bnd, r.bndptr, r.gate, r.candidates)
+				r.id, r.ed, r.maxRow, r.nfr, r.boundary, r.rej, r.gate, r.candidates)
 		}
 		if moves == 0 {
 			break
@@ -295,23 +300,63 @@ func (r *Refiner) imbalanced() bool {
 // is part of the determinism contract — but only gated vertices are
 // evaluated: one byte decides, for interior vertices and for boundary
 // vertices with maxRow < id alike, that greedyMove would find nothing (no
-// row reaches id, so every gain is negative). Returns the number of moves.
-func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
+// row reaches id, so every gain is negative). A gated vertex with a
+// rejection mask is gathered only when mayMove finds a subdomain in the
+// mask that could take it; a candidate that is gathered and stays records
+// the subdomains whose row reaches id as its new mask. Returns the number
+// of moves and of candidates gathered.
+func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) (moves, gathered int) {
 	rand.Perm(r.order)
-	moves := 0
 	for _, v := range r.order {
 		if !r.gate[v] {
 			continue
 		}
 		a := part[v]
 		vw := g.VertexWeight(v)
+		if r.rej[v] != 0 && !r.mayMove(v, a, vw) {
+			continue
+		}
+		gathered++
 		r.gatherRows(g, part, v)
-		if b, gain := r.greedyMove(a, vw, r.id[v]); b >= 0 {
+		id := r.id[v]
+		if b, gain := r.greedyMove(a, vw, id); b >= 0 {
 			r.apply(g, part, v, a, b, vw, gain)
 			moves++
+			continue
+		}
+		// Zero when the gather closed the gate: no row reaches id.
+		var mask uint64
+		for _, b := range r.rows.Touched() {
+			if r.rows.Weight(b) >= id {
+				mask |= 1 << (b & 63)
+			}
+		}
+		r.rej[v] = mask
+	}
+	return moves, gathered
+}
+
+// mayMove reports whether greedyMove could find a move for gated vertex v
+// (in subdomain a, weight vw) with rejection mask rej[v] != 0, without
+// gathering its rows. A move needs a row that reaches id, so a subdomain b
+// != a in the mask, with room for v; and when maxRow[v] == id no row can
+// have a positive gain, so the move must also strictly improve balance.
+// False means greedyMove would return -1. It holds for any maxRow that is
+// an upper bound, and for any mask that is a superset.
+func (r *Refiner) mayMove(v, a int32, vw []int32) bool {
+	m := r.m
+	zeroGain := r.maxRow[v] == r.id[v]
+	for mask := r.rej[v]; mask != 0; mask &= mask - 1 {
+		for b := int32(bits.TrailingZeros64(mask)); int(b) < r.k; b += 64 {
+			if b == a || !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
+				continue
+			}
+			if !zeroGain || r.balanceDelta(a, b, vw) < 0 {
+				return true
+			}
 		}
 	}
-	return moves
+	return false
 }
 
 // greedyMove picks, among the gathered rows of a vertex in subdomain a with
@@ -440,14 +485,18 @@ func (r *Refiner) gatherRows(g *graph.Graph, part []int32, v int32) {
 
 // apply commits the move of v (weight vw, cut reduction gain) from a to b
 // and repairs the gain cache: v's own id/ed/nfr are rebuilt from its
-// adjacency and its maxRow reset to ed, each neighbor's entry is adjusted by
-// the edge it shares with v, boundary membership is updated where a
-// foreign-neighbor count crossed zero, and the candidate gate is re-derived
-// for every neighbor. A neighbor's row toward b is the only one that can
-// grow, and only when the neighbor is not itself in b, so exactly then its
-// maxRow rises by the edge weight; every maxRow stays clamped to ed.
-// O(degree(v)) total — the incremental update that makes boundary-driven
-// passes sound.
+// adjacency, its maxRow reset to ed and its mask cleared, each neighbor's
+// entry is adjusted by the edge it shares with v, the boundary count
+// follows every foreign-neighbor count that crosses zero, and the
+// candidate gate is re-derived for every neighbor. A neighbor's row toward
+// b is the only one that can grow, and only when the neighbor is not
+// itself in b, so exactly then its maxRow rises by the edge weight; every
+// maxRow stays clamped to ed. Each mask stays a superset of the rows that
+// reach id: a neighbor in a has its id fall, so any row may now reach it
+// and its mask is cleared; a neighbor in b has its id rise while one row
+// falls, so its mask holds; any other neighbor gains b's bit, the one row
+// that grew. O(degree(v)) total — the incremental update that makes
+// boundary-driven passes sound.
 func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32, gain int64) {
 	m := r.m
 	vecw.Move(r.pwgts[int(a)*m:(int(a)+1)*m], r.pwgts[int(b)*m:(int(b)+1)*m], vw)
@@ -468,7 +517,7 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 			r.maxRow[u] = min(r.maxRow[u], r.ed[u])
 			r.nfr[u]--
 			if r.nfr[u] == 0 {
-				r.bndRemove(u)
+				r.boundary--
 			}
 		case a:
 			// v was internal to u, now foreign: u's b-row grows.
@@ -479,25 +528,28 @@ func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32,
 			r.maxRow[u] += w
 			r.nfr[u]++
 			if r.nfr[u] == 1 {
-				r.bndAdd(u)
+				r.boundary++
 			}
+			r.rej[u] = 0
 		default:
 			// v was foreign to u before and after: weight moves from u's
 			// a-row to its b-row.
 			edv += w
 			nfrv++
 			r.maxRow[u] = min(r.maxRow[u]+w, r.ed[u])
+			if r.rej[u] != 0 {
+				r.rej[u] |= 1 << (b & 63)
+			}
 		}
 		r.setGate(u)
 	}
-	r.id[v], r.ed[v], r.maxRow[v], r.nfr[v] = idv, edv, edv, nfrv
-	if nfrv > 0 {
-		if r.bndptr[v] < 0 {
-			r.bndAdd(v)
-		}
-	} else if r.bndptr[v] >= 0 {
-		r.bndRemove(v)
+	if r.nfr[v] > 0 {
+		r.boundary--
 	}
+	if nfrv > 0 {
+		r.boundary++
+	}
+	r.id[v], r.ed[v], r.maxRow[v], r.nfr[v], r.rej[v] = idv, edv, edv, nfrv, 0
 	r.setGate(v)
 	r.updates += int64(len(adj)) + 1
 }
@@ -513,20 +565,6 @@ func (r *Refiner) setGate(v int32) {
 			r.candidates--
 		}
 	}
-}
-
-func (r *Refiner) bndAdd(v int32) {
-	r.bndptr[v] = int32(len(r.bnd))
-	r.bnd = append(r.bnd, v)
-}
-
-func (r *Refiner) bndRemove(v int32) {
-	i := r.bndptr[v]
-	last := r.bnd[len(r.bnd)-1]
-	r.bnd[i] = last
-	r.bndptr[last] = i
-	r.bnd = r.bnd[:len(r.bnd)-1]
-	r.bndptr[v] = -1
 }
 
 // balanceDelta returns the change in Σ_c (load/avg)² over subdomains a and

@@ -298,9 +298,12 @@ func (dg *DGraph) Gather() *graph.Graph {
 // TotalVertexWeight returns the global per-constraint weight totals
 // (collective: every rank must call it).
 func (dg *DGraph) TotalVertexWeight() []int64 {
-	tot := make([]int64, dg.Ncon)
-	for i, w := range dg.Vwgt {
-		tot[i%dg.Ncon] += int64(w)
+	m := dg.Ncon
+	tot := make([]int64, m)
+	for v := 0; v < dg.NLocal(); v++ {
+		for c, w := range dg.Vwgt[v*m : (v+1)*m] {
+			tot[c] += int64(w)
+		}
 	}
 	dg.Comm.AllreduceSumI64(tot)
 	return tot

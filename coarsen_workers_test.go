@@ -9,9 +9,10 @@ import (
 
 // The parallel-coarsening worker-invariance property (DESIGN.md, "Parallel
 // coarsening contract"): CoarsenWorkers is a wall-clock knob, never a
-// result knob. For every worker count the matching, contraction, and LP
-// clustering kernels must produce bit-identical hierarchies — and
-// therefore bit-identical partitions, cuts, and stats — because the
+// result knob. For every worker count the matching and contraction
+// kernels, and the cluster scheme's one-goroutine label propagation beside
+// them, must produce bit-identical hierarchies — and therefore
+// bit-identical partitions, cuts, and stats — because the matching's
 // propose/commit discipline replays the sequential decision order exactly.
 // These tests pin that property across both coarsening schemes and both
 // graph classes (mesh and power-law), with the worker counts spanning
@@ -79,9 +80,10 @@ func TestCoarsenWorkersInvariantMesh(t *testing.T) {
 	}
 }
 
-// TestCoarsenWorkersInvariantPowerLaw covers the LP clustering kernel (and
-// the cluster-map contraction) on its motivating graph class, plus the
-// auto scheme sniffing its way to clustering on the same graph.
+// TestCoarsenWorkersInvariantPowerLaw covers the cluster scheme (label
+// propagation and the cluster-map contraction) on its motivating graph
+// class, plus the auto scheme sniffing its way to clustering on the same
+// graph.
 func TestCoarsenWorkersInvariantPowerLaw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed multilevel runs; skipped with -short")

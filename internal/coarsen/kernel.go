@@ -93,13 +93,13 @@ func prefixSum(a []int32) {
 }
 
 // matchInto computes the heavy-edge matching of g into s.match: vertices
-// are visited in a random order and each unmatched one pairs with its
-// bestMate. On one worker each visit commits in turn. On more, the visit
-// order is cut into chunks; the workers propose a mate for each vertex of
-// a chunk from a snapshot of the match array, and an in-order commit
-// applies the proposals. A proposal is still the rule's choice at commit
-// time exactly when its mate is still unmatched, because the rule is an
-// argmax over the candidates and commits only remove candidates; an
+// are visited in a random order and each unmatched one pairs with the mate
+// MateRule.Best picks. On one worker each visit commits in turn. On more,
+// the visit order is cut into chunks; the workers propose a mate for each
+// vertex of a chunk from a snapshot of the match array, and an in-order
+// commit applies the proposals. A proposal is still the rule's choice at
+// commit time exactly when its mate is still unmatched, because the rule
+// is an argmax over the candidates and commits only remove candidates; an
 // invalidated proposal is re-derived from the current state by the same
 // rule. The returned rescans counts those re-derivations.
 func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch) (match []int32, chunks, rescans int) {
@@ -110,11 +110,14 @@ func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch) (match []
 	}
 	order := grow(&s.order, n)
 	rand.Perm(order)
+	rule := MateRule{Xadj: g.Xadj, Adjncy: g.Adjncy, Adjwgt: g.Adjwgt, Vwgt: g.Vwgt, Ncon: g.Ncon,
+		MaxVertexWeight: opt.MaxVertexWeight, Balanced: opt.BalancedEdge}
 	workers := s.workers
 	if workers == 1 {
 		for _, v := range order {
 			if match[v] < 0 {
-				pair(match, v, bestMate(g, opt, match, v))
+				u, _ := rule.Best(match, v)
+				pair(match, v, u)
 			}
 		}
 		return match, 0, 0
@@ -130,7 +133,7 @@ func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch) (match []
 		plo, phi := par.Span(s.hi-s.lo, workers, w)
 		for idx := s.lo + plo; idx < s.lo+phi; idx++ {
 			if v := order[idx]; match[v] < 0 {
-				prop[idx] = bestMate(g, opt, match, v)
+				prop[idx], _ = rule.Best(match, v)
 			}
 		}
 	}
@@ -145,7 +148,7 @@ func matchInto(g *graph.Graph, rand *rng.RNG, opt Options, s *scratch) (match []
 			}
 			best := prop[idx]
 			if best != v && match[best] >= 0 {
-				best = bestMate(g, opt, match, v)
+				best, _ = rule.Best(match, v)
 				rescans++
 			}
 			pair(match, v, best)
@@ -160,23 +163,40 @@ func pair(match []int32, v, u int32) {
 	match[u] = v
 }
 
-// bestMate is the mate-selection rule: among v's unmatched neighbors whose
-// combined weight with v fits MaxVertexWeight in every constraint, the one
-// joined by the heaviest edge; ties go to the flattest combined weight
-// vector (minimum jaggedness) under BalancedEdge, and then to adjacency
-// order. It returns v itself when no neighbor qualifies. A one-component
-// vector always has jaggedness 1, so at m=1 the tie-break cannot change
+// MateRule is the SC'98 mate-selection rule, the one copy that serial
+// matching and the distributed matching of internal/pcoarsen share. It
+// reads a CSR adjacency and Ncon-component vertex weights indexed like the
+// adjacency's entries: for a distributed graph, the owned vertices
+// followed by the ghosts.
+type MateRule struct {
+	Xadj, Adjncy, Adjwgt, Vwgt []int32
+	Ncon                       int
+	// MaxVertexWeight, if positive, caps every component of a pair's
+	// combined weight vector.
+	MaxVertexWeight int64
+	// Balanced selects the balanced-edge tie-break.
+	Balanced bool
+}
+
+// Best returns v's mate and the weight of the edge joining them: among v's
+// neighbors u with taken[u] < 0 whose combined weight with v fits
+// MaxVertexWeight in every constraint, the one joined by the heaviest
+// edge; ties go to the flattest combined weight vector (minimum
+// jaggedness) under Balanced, and then to adjacency order. It returns v
+// itself, with weight -1, when no neighbor qualifies. A one-component
+// vector always has jaggedness 1, so at Ncon 1 the tie-break cannot change
 // the choice, and an edge no heavier than the best so far is skipped
 // unread.
-func bestMate(g *graph.Graph, opt Options, match []int32, v int32) int32 {
-	m, vwgt, maxW := g.Ncon, g.Vwgt, opt.MaxVertexWeight
-	balanced := opt.BalancedEdge && m > 1
+func (r *MateRule) Best(taken []int32, v int32) (mate, w int32) {
+	m, vwgt, maxW := r.Ncon, r.Vwgt, r.MaxVertexWeight
+	balanced := r.Balanced && m > 1
 	vw := vwgt[int(v)*m : int(v+1)*m]
-	wgt := g.Adjwgt[g.Xadj[v]:g.Xadj[v+1]]
+	lo, hi := r.Xadj[v], r.Xadj[v+1]
+	wgt := r.Adjwgt[lo:hi]
 	best, bestW, bestJag := v, int32(-1), 0.0
-	for i, u := range g.Adjncy[g.Xadj[v]:g.Xadj[v+1]] {
+	for i, u := range r.Adjncy[lo:hi] {
 		w := wgt[i]
-		if w < bestW || (w == bestW && !balanced) || match[u] >= 0 || u == v {
+		if w < bestW || (w == bestW && !balanced) || taken[u] >= 0 || u == v {
 			continue
 		}
 		uw := vwgt[int(u)*m : int(u+1)*m]
@@ -192,7 +212,7 @@ func bestMate(g *graph.Graph, opt Options, match []int32, v int32) int32 {
 		}
 		best, bestW = u, w
 	}
-	return best
+	return best, bestW
 }
 
 func fitsCap(a, b []int32, cap int64) bool {

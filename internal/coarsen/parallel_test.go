@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lp"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -130,36 +129,6 @@ func TestContractMapParMatchesSequential(t *testing.T) {
 				t.Errorf("%s workers=%d: coarse graph: %v", name, w, err)
 			}
 			s.close()
-		}
-	}
-}
-
-// TestLPClusterParMatchesSequential pins the LP propose/commit rounds
-// against the sequential pass on the clustering's own output (cmap and
-// cluster count), per worker count, with and without weight caps.
-func TestLPClusterParMatchesSequential(t *testing.T) {
-	for _, kg := range kernelGraphs(t) {
-		name, g := kg.name, kg.g
-		for _, withCaps := range []bool{false, true} {
-			var caps []int64
-			if withCaps {
-				caps = make([]int64, g.Ncon)
-				for c, tot := range g.TotalVertexWeight() {
-					caps[c] = 1 + tot/16
-				}
-			}
-			wantCmap, wantNC := lp.Cluster(g, rng.New(5), lp.Options{MaxClusterWeight: caps})
-			for _, w := range kernelWorkerCounts {
-				pool := par.NewPool(w)
-				gotCmap, gotNC := lp.Cluster(g, rng.New(5), lp.Options{MaxClusterWeight: caps, Pool: pool})
-				if gotNC != wantNC {
-					t.Errorf("%s workers=%d caps=%v: nc = %d, want %d", name, w, withCaps, gotNC, wantNC)
-				}
-				if err := sliceEq("cmap", gotCmap, wantCmap); err != nil {
-					t.Errorf("%s workers=%d caps=%v: %v", name, w, withCaps, err)
-				}
-				pool.Close()
-			}
 		}
 	}
 }

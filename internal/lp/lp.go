@@ -23,28 +23,14 @@
 // weight component, mirroring how the SC'98 matching cap keeps the coarsest
 // graph balanceable per constraint.
 //
-// The sequential rounds evaluate a vertex only when its decision may have
-// changed since it last chose to stay: a neighbor moved, or a cluster that
-// refused it for cap room lost a member. The rest are skipped, and the
-// clustering is the same as with every vertex evaluated in every round
-// (DESIGN.md, "Coarsening schemes").
-//
-// With Options.Pool, each round's candidate scans run on the pool under
-// the propose/commit discipline of DESIGN.md's "Parallel coarsening
-// contract": workers score every vertex of a chunk against a frozen
-// label/weight snapshot, then a sequential in-order commit applies each
-// proposal after checking that nothing it depended on changed within the
-// chunk, re-deriving the few that were invalidated. The decision is an
-// argmax over the eligible neighboring clusters, so a proposal stays valid
-// exactly when (1) no committed move changed a neighbor's label — tracked
-// eagerly: each move flags its still-pending neighbors, costing O(deg)
-// per *move* rather than O(deg) per vertex — (2) the proposed cluster
-// still has cap room, an O(ncon) recheck, and (3) no cap-rejected
-// candidate that outranked the proposal could have gained room — the
-// propose scan flags such proposals, and a flagged one is only re-derived
-// when a neighboring cluster actually lost a member within the chunk,
-// since nothing else opens cap room. The clustering is bit-identical for
-// every worker count.
+// The rounds evaluate a vertex only when its decision may have changed
+// since it last chose to stay: a neighbor moved, or a cluster that refused
+// it for cap room lost a member. The rest are skipped, and the clustering
+// is the same as with every vertex evaluated in every round (DESIGN.md,
+// "Coarsening schemes"). The rounds run on the calling goroutine at every
+// coarsening worker count: after the first round they evaluate a small
+// share of the vertices, too little work to pay for splitting a round
+// across workers (DESIGN.md, "Parallel coarsening contract").
 package lp
 
 import (
@@ -53,7 +39,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/check"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -63,14 +48,6 @@ import (
 // happens in the first two rounds — and a small fixed count keeps the
 // level cost linear and the determinism contract simple.
 const DefaultRounds = 5
-
-// lpChunkDiv sizes the propose/commit chunks of a parallel round:
-// n/(workers*lpChunkDiv), floored at lpMinChunk. Smaller chunks mean
-// fresher snapshots (fewer commit rescans) but more barriers.
-const (
-	lpChunkDiv = 4
-	lpMinChunk = 512
-)
 
 // Options controls one clustering pass.
 type Options struct {
@@ -86,60 +63,40 @@ type Options struct {
 	// two or more members never exceed the cap (the mcdebug invariant
 	// check.ClusterCaps).
 	MaxClusterWeight []int64
-	// Pool, when non-nil with two or more workers, runs each round's
-	// candidate scans on the pool with the propose/commit discipline. The
-	// clustering is bit-identical to the sequential pass for every worker
-	// count; nil (or a 1-worker pool) selects the sequential rounds.
-	Pool *par.Pool
 	// Stop, when non-nil, is polled once per round; once it returns true
 	// Cluster abandons the pass and returns (nil, 0).
 	Stop func() bool
-	// Trace, when non-nil, records one "lp.round" span per executed round
-	// (with a rescans attribute under Pool).
+	// Trace, when non-nil, records one "lp.round" span per executed round.
 	Trace *trace.Rank
-}
-
-// candBuf is one scan context: the slot marker, which maps each cluster
-// label seen in the current scan to its index in the candidate arrays
-// (generation and index packed in one word), and the candidate
-// accumulation arrays of a single goroutine. The sequential rounds use
-// one; parallel rounds use one per worker plus one for commit-time
-// rescans.
-type candBuf struct {
-	mk  arena.SlotMarker
-	lab []int32
-	w   []int64
 }
 
 // decideProp returns the cluster v should join given the current label/cw
 // state: the neighboring cluster with the greatest connecting edge weight
 // among those with cap room, ties toward the lowest label, staying put
 // (label[v]) unless strictly better. This is the one decision rule of the
-// pass; sequential rounds, parallel proposals, and commit rescans all call
-// it, which is what makes them bit-identical by construction. Alongside
-// the choice it reports whether any candidate was rejected for cap room
-// yet outranks the choice — the one case where a later cluster-weight
-// decrease could change the decision: the sequential rounds then keep v
-// capped rather than settled, and the parallel commit re-derives such a
-// proposal. The decision itself is an argmax over the eligible candidates
-// (eligibility is per-candidate, independent of scan state), which is what
-// makes the single highest-ranked rejected candidate a sufficient summary.
-func (cb *candBuf) decideProp(g *graph.Graph, label []int32, cw []int64, caps []int64, m int, v int32) (best int32, capSensitive bool) {
+// pass. Alongside the choice it reports whether any candidate was rejected
+// for cap room yet outranks the choice — the one case where a later
+// cluster-weight decrease could change the decision, so the rounds then
+// keep v capped rather than settled. The decision itself is an argmax over
+// the eligible candidates (eligibility is per-candidate, independent of
+// scan state), which is what makes the single highest-ranked rejected
+// candidate a sufficient summary.
+func (s *Scratch) decideProp(g *graph.Graph, label []int32, cw []int64, caps []int64, m int, v int32) (best int32, capSensitive bool) {
 	a := label[v]
 	adj, wgt := g.Neighbors(v)
 	if len(adj) == 0 {
 		return a, false
 	}
-	if cap(cb.lab) < len(adj) {
-		cb.lab = make([]int32, 0, len(adj))
-		cb.w = make([]int64, 0, len(adj))
+	if cap(s.candLab) < len(adj) {
+		s.candLab = make([]int32, 0, len(adj))
+		s.candW = make([]int64, 0, len(adj))
 	}
-	candLab := cb.lab[:0]
-	candW := cb.w[:0]
+	candLab := s.candLab[:0]
+	candW := s.candW[:0]
 	// Accumulate the connecting weight per neighboring cluster through the
 	// slot marker (one generation per scanned vertex, no clearing).
-	cb.mk.Next()
-	mk := cb.mk
+	s.mk.Next()
+	mk := s.mk
 	for i, u := range adj {
 		lu := label[u]
 		if j := mk.Slot(lu); j >= 0 {
@@ -150,7 +107,7 @@ func (cb *candBuf) decideProp(g *graph.Graph, label []int32, cw []int64, caps []
 			candW = append(candW, int64(wgt[i]))
 		}
 	}
-	cb.lab, cb.w = candLab, candW
+	s.candLab, s.candW = candLab, candW
 	// Staying put is the baseline: the weight connecting v to its own
 	// cluster (zero if no neighbor shares it).
 	bestW := int64(0)
@@ -180,30 +137,29 @@ func (cb *candBuf) decideProp(g *graph.Graph, label []int32, cw []int64, caps []
 }
 
 // Scratch pools every buffer one clustering pass needs — labels, cluster
-// weights and member lists, visit order, the sequential rounds' skip
-// state, candidate scan state, and (under Options.Pool) the per-worker scan
-// contexts and proposal array — in one arena whose grow-only slabs are
-// carved afresh per call. One Scratch serves a whole coarsening hierarchy:
-// after the finest level sizes the slabs, ClusterInto allocates nothing
-// but the returned cmap (the committed alloc-budget test). Single-
-// goroutine, like the arena it wraps.
+// weights and member lists, visit order, the rounds' skip state and the
+// candidate scan state — in one arena whose grow-only slabs are carved
+// afresh per call. One Scratch serves a whole coarsening hierarchy: after
+// the finest level sizes the slabs, ClusterInto allocates nothing but the
+// returned cmap (the committed alloc-budget test). Single-goroutine, like
+// the arena it wraps.
 type Scratch struct {
-	a        arena.Arena
-	seq      candBuf
-	pws      []*candBuf
-	invalMk  arena.Marker // commit slots whose proposal a committed move invalidated
-	shrunkMk arena.Marker // clusters that lost a member within the current chunk
-	pos      []int32      // vertex -> commit slot within the current chunk
-	lo, hi   int          // current propose chunk, read by the hoisted closure
+	a arena.Arena
+	// The candidate scan state: the slot marker maps each cluster label
+	// seen in the current scan to its index in the candidate arrays
+	// (generation and index packed in one word).
+	mk      arena.SlotMarker
+	candLab []int32
+	candW   []int64
 
 	// Each cluster's members as a doubly linked list: head by cluster
 	// label, next and prev by vertex, -1 ending a list. applyMove keeps
 	// them.
 	head, next, prev []int32
-	// The sequential rounds' skip state: a dirty vertex is evaluated on
-	// its next visit; a clean one is capped (some cluster that outranks
-	// staying was refused for cap room) or else settled (no neighboring
-	// cluster outranks staying). capped is stale while dirty is set.
+	// The rounds' skip state: a dirty vertex is evaluated on its next
+	// visit; a clean one is capped (some cluster that outranks staying was
+	// refused for cap room) or else settled (no neighboring cluster
+	// outranks staying). capped is stale while dirty is set.
 	dirty, capped []bool
 }
 
@@ -230,20 +186,12 @@ func ClusterInto(g *graph.Graph, rand *rng.RNG, opt Options, s *Scratch) ([]int3
 		rounds = DefaultRounds
 	}
 	caps := opt.MaxClusterWeight
-	pool := opt.Pool
-	if pool != nil && pool.Workers() < 2 {
-		pool = nil
-	}
 
 	s.a.Reset()
 	// Size the cold int32 and bool slabs for the whole call at once: six
-	// int32 arrays of n (two more for the pooled rounds) and two bool ones.
-	if pool != nil {
-		s.a.ReserveI32(8 * n)
-	} else {
-		s.a.ReserveI32(6 * n)
-		s.a.ReserveBool(2 * n)
-	}
+	// int32 arrays of n and two bool ones.
+	s.a.ReserveI32(6 * n)
+	s.a.ReserveBool(2 * n)
 	// label[v] is v's current cluster, named by an arbitrary vertex id;
 	// cw[label*m+c] is the cluster's summed weight per constraint.
 	label := s.a.I32(n)
@@ -252,56 +200,14 @@ func ClusterInto(g *graph.Graph, rand *rng.RNG, opt Options, s *Scratch) ([]int3
 	order := s.a.I32(n)
 	//mcvet:ignore arenapair — the lists and the skip state live in the same Scratch as the arena and are re-carved here after the one Reset per call, so they never outlive their slab
 	s.head, s.next, s.prev = s.a.I32(n), s.a.I32(n), s.a.I32(n)
-	s.seq.mk.Grow(n)
-	var prop []int32
-	var propose func(w int)
-	if pool != nil {
-		prop = s.a.I32(n)
-		workers := pool.Workers()
-		for len(s.pws) < workers {
-			s.pws = append(s.pws, &candBuf{})
-		}
-		pws := s.pws[:workers]
-		for _, cb := range pws {
-			cb.mk.Grow(n)
-		}
-		s.invalMk.Grow(n)
-		s.shrunkMk.Grow(n)
-		//mcvet:ignore arenapair — s.pos lives in the same Scratch as the arena and is re-carved here after the one Reset per call, so it never outlives its slab
-		s.pos = s.a.I32(n)
-		// One closure for the whole pass (chunk bounds travel through
-		// s.lo/s.hi, mutated only between Run calls): warm parallel rounds
-		// allocate nothing. A cap-sensitive proposal is stored bitwise
-		// complemented, so the commit's rescan test is a sign check.
-		pos := s.pos
-		propose = func(w int) {
-			lo, hi := s.lo, s.hi
-			plo, phi := par.Span(hi-lo, workers, w)
-			cb := pws[w]
-			for idx := lo + plo; idx < lo+phi; idx++ {
-				v := order[idx]
-				// Each worker also fills its span of the vertex -> commit
-				// slot map (order is a permutation, so writes are disjoint).
-				pos[v] = int32(idx)
-				best, capSens := cb.decideProp(g, label, cw, caps, m, v)
-				if capSens {
-					best = ^best
-				}
-				prop[idx] = best
-			}
-		}
-	} else {
-		//mcvet:ignore arenapair — as above: carved after the one Reset per call
-		s.dirty, s.capped = s.a.Bool(n), s.a.Bool(n)
-		for v := range s.dirty {
-			s.dirty[v], s.capped[v] = true, false
-		}
-	}
-
+	//mcvet:ignore arenapair — as above: carved after the one Reset per call
+	s.dirty, s.capped = s.a.Bool(n), s.a.Bool(n)
+	s.mk.Grow(n)
 	for v := 0; v < n; v++ {
 		label[v] = int32(v)
 		cnt[v] = 1
 		s.head[v], s.next[v], s.prev[v] = int32(v), -1, -1
+		s.dirty[v], s.capped[v] = true, false
 		for c := 0; c < m; c++ {
 			cw[v*m+c] = int64(g.Vwgt[v*m+c])
 		}
@@ -315,22 +221,12 @@ func ClusterInto(g *graph.Graph, rand *rng.RNG, opt Options, s *Scratch) ([]int3
 			opt.Trace.Begin("lp.round", trace.I64("round", int64(round)), trace.I64("n", int64(n)))
 		}
 		rand.Perm(order)
-		var moves, evaluated, rescans int
-		if pool == nil {
-			moves, evaluated = s.sequentialRound(g, label, cw, cnt, caps, m, order)
-			if check.Enabled {
-				s.checkClean(g, label, cw, caps, m, round)
-			}
-		} else {
-			moves, rescans = s.parallelRound(g, pool, propose, label, cw, cnt, caps, m, order, prop)
-			evaluated = n
+		moves, evaluated := s.sequentialRound(g, label, cw, cnt, caps, m, order)
+		if check.Enabled {
+			s.checkClean(g, label, cw, caps, m, round)
 		}
 		if opt.Trace != nil {
-			if pool != nil {
-				opt.Trace.End(trace.I64("moves", int64(moves)), trace.I64("evaluated", int64(evaluated)), trace.I64("rescans", int64(rescans)))
-			} else {
-				opt.Trace.End(trace.I64("moves", int64(moves)), trace.I64("evaluated", int64(evaluated)))
-			}
+			opt.Trace.End(trace.I64("moves", int64(moves)), trace.I64("evaluated", int64(evaluated)))
 		}
 		if moves == 0 {
 			break
@@ -441,7 +337,7 @@ func (s *Scratch) sequentialRound(g *graph.Graph, label []int32, cw []int64, cnt
 		}
 		evaluated++
 		a := label[v]
-		best, capSens := s.seq.decideProp(g, label, cw, caps, m, v)
+		best, capSens := s.decideProp(g, label, cw, caps, m, v)
 		if best != a {
 			s.applyMove(g, label, cw, cnt, v, best, m)
 			moves++
@@ -463,101 +359,20 @@ func (s *Scratch) sequentialRound(g *graph.Graph, label []int32, cw []int64, cnt
 	return moves, evaluated
 }
 
-// checkClean re-derives the decision of every clean vertex after a
-// sequential round and panics unless it stays — and, for a settled vertex,
+// checkClean re-derives the decision of every clean vertex after a round
+// and panics unless it stays — and, for a settled vertex,
 // unless no cluster outranks staying at all (mcdebug only).
 func (s *Scratch) checkClean(g *graph.Graph, label []int32, cw []int64, caps []int64, m, round int) {
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
 		if s.dirty[v] {
 			continue
 		}
-		best, capSens := s.seq.decideProp(g, label, cw, caps, m, v)
+		best, capSens := s.decideProp(g, label, cw, caps, m, v)
 		if best != label[v] || (capSens && !s.capped[v]) {
 			panic(fmt.Sprintf("mcdebug: lp: after round %d: vertex %d is clean in cluster %d (capped %v), but a fresh scan chooses cluster %d (cap-sensitive %v)",
 				round, v, label[v], s.capped[v], best, capSens))
 		}
 	}
-}
-
-// parallelRound runs one propagation round on the pool: propose in
-// parallel from a frozen snapshot, commit sequentially in visit order. A
-// proposal is applied as-is unless (a) a committed move changed one of the
-// vertex's neighbor labels — each move flags the commit slots of its
-// still-pending neighbors through pos, so the cost is O(deg) per move, not
-// O(deg) per vertex — (b) the propose scan flagged it cap-sensitive (a
-// cap-rejected candidate outranked it) AND a neighboring cluster lost a
-// member within the chunk (the only event that can open cap room), or (c)
-// the chosen cluster no longer fits, an O(ncon) recheck. In those cases
-// the decision is re-derived from current state (counted in rescans);
-// otherwise the snapshot decision provably equals the sequential one, see
-// DESIGN.md. Decisions therefore match the sequential round vertex for
-// vertex, and so does the move count that drives early exit.
-func (s *Scratch) parallelRound(g *graph.Graph, pool *par.Pool, propose func(w int), label []int32, cw []int64, cnt []int32, caps []int64, m int, order, prop []int32) (moves, rescans int) {
-	n := len(order)
-	workers := pool.Workers()
-	chunk := (n + workers*lpChunkDiv - 1) / (workers * lpChunkDiv)
-	if chunk < lpMinChunk {
-		chunk = lpMinChunk
-	}
-	pos := s.pos
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		s.lo, s.hi = lo, hi
-		// The propose workers also fill pos for the chunk; entries from
-		// earlier chunks or rounds go stale rather than being cleared — the
-		// order[j] == u identity check below rejects them.
-		pool.Run(propose)
-		s.invalMk.Next()
-		s.shrunkMk.Next()
-		shrunk := 0  // departures this chunk; 0 = cap-sensitivity cannot matter
-		flagged := 0 // slots invalidated this chunk; 0 = skip the marker read
-		for idx := lo; idx < hi; idx++ {
-			v := order[idx]
-			a := label[v]
-			best := prop[idx]
-			stale := flagged > 0 && s.invalMk.Marked(int32(idx))
-			if best < 0 && !stale {
-				// Cap-sensitive: valid unless a neighboring cluster shed a
-				// member since the snapshot (in saturated power-law rounds
-				// departures are rare, so this almost never rescans).
-				best = ^best
-				if shrunk > 0 {
-					adj, _ := g.Neighbors(v)
-					for _, u := range adj {
-						if s.shrunkMk.Marked(label[u]) {
-							stale = true
-							break
-						}
-					}
-				}
-			}
-			if stale {
-				best, _ = s.seq.decideProp(g, label, cw, caps, m, v)
-				rescans++
-			} else if best != a && !fitsCluster(cw, best, g.VertexWeight(v), caps, m) {
-				best, _ = s.seq.decideProp(g, label, cw, caps, m, v)
-				rescans++
-			}
-			if best != a {
-				s.applyMove(g, label, cw, cnt, v, best, m)
-				moves++
-				s.shrunkMk.TryMark(a)
-				shrunk++
-				adj, _ := g.Neighbors(v)
-				for _, u := range adj {
-					if j := pos[u]; int(j) > idx && int(j) < hi && order[j] == u {
-						if s.invalMk.TryMark(j) {
-							flagged++
-						}
-					}
-				}
-			}
-		}
-	}
-	return moves, rescans
 }
 
 // applyMove reassigns v from its current cluster to dst, shifting its

@@ -9,7 +9,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -180,8 +179,8 @@ func tightCaps(g *graph.Graph, num, den int64) []int64 {
 	return caps
 }
 
-// TestClusterMatchesFullScan pins the skipping rounds, sequential and
-// pooled, to the full-scan oracle: the same cmap, nc and moves per round on
+// TestClusterMatchesFullScan pins the skipping rounds to the full-scan
+// oracle: the same cmap, nc and moves per round on
 // power-law graphs under tight caps at m ∈ {1, 2, 3}, a mesh, a graph with
 // degree-0 vertices, zero vertex weights and zero-weight edges, and without
 // caps.
@@ -208,39 +207,31 @@ func TestClusterMatchesFullScan(t *testing.T) {
 		problem{"zero weights m=2", zero, tightCaps(zero, 3, 1)},
 		problem{"powerlaw nil caps", gen.PowerLaw(3000, 8, 2.5, 3), nil},
 	)
-	pool := par.NewPool(2)
-	defer pool.Close()
 	for _, p := range problems {
 		for _, seed := range []uint64{1, 7} {
 			for _, rounds := range []int{0, 9} {
 				tag := fmt.Sprintf("%s seed=%d rounds=%d", p.name, seed, rounds)
 				opt := Options{Rounds: rounds, MaxClusterWeight: p.caps}
 				wantCmap, wantNC, wantMoves := clusterFullScan(p.g, rng.New(seed), opt)
-				for _, pooled := range []bool{false, true} {
-					tr := trace.New("test")
-					opt.Trace = tr.Rank(0)
-					opt.Pool = nil
-					if pooled {
-						opt.Pool = pool
+				tr := trace.New("test")
+				opt.Trace = tr.Rank(0)
+				cmap, nc := ClusterInto(p.g, rng.New(seed), opt, NewScratch())
+				if nc != wantNC {
+					t.Fatalf("%s: nc = %d, full scan %d", tag, nc, wantNC)
+				}
+				for v := range cmap {
+					if cmap[v] != wantCmap[v] {
+						t.Fatalf("%s: cmap diverges first at vertex %d: %d, full scan %d",
+							tag, v, cmap[v], wantCmap[v])
 					}
-					cmap, nc := ClusterInto(p.g, rng.New(seed), opt, NewScratch())
-					if nc != wantNC {
-						t.Fatalf("%s pooled=%v: nc = %d, full scan %d", tag, pooled, nc, wantNC)
-					}
-					for v := range cmap {
-						if cmap[v] != wantCmap[v] {
-							t.Fatalf("%s pooled=%v: cmap diverges first at vertex %d: %d, full scan %d",
-								tag, pooled, v, cmap[v], wantCmap[v])
-						}
-					}
-					spans := roundSpans(t, tr)
-					if len(spans) != len(wantMoves) {
-						t.Fatalf("%s pooled=%v: %d rounds, full scan %d", tag, pooled, len(spans), len(wantMoves))
-					}
-					for r, sp := range spans {
-						if sp.moves != wantMoves[r] {
-							t.Errorf("%s pooled=%v: round %d moved %d, full scan %d", tag, pooled, r, sp.moves, wantMoves[r])
-						}
+				}
+				spans := roundSpans(t, tr)
+				if len(spans) != len(wantMoves) {
+					t.Fatalf("%s: %d rounds, full scan %d", tag, len(spans), len(wantMoves))
+				}
+				for r, sp := range spans {
+					if sp.moves != wantMoves[r] {
+						t.Errorf("%s: round %d moved %d, full scan %d", tag, r, sp.moves, wantMoves[r])
 					}
 				}
 			}

@@ -1,7 +1,7 @@
 // Package par provides the tiny fixed-size fork-join worker pool behind
-// the shared-memory parallel coarsening kernels (internal/coarsen,
-// internal/lp). Unlike the simulated-MPI ranks of internal/mpi, these are
-// plain goroutines targeting *real* multicore wall clock inside the serial
+// the shared-memory parallel coarsening kernels (internal/coarsen).
+// Unlike the simulated-MPI ranks of internal/mpi, these are plain
+// goroutines targeting *real* multicore wall clock inside the serial
 // pipeline.
 //
 // The pool exists so a whole coarsening hierarchy pays the goroutine

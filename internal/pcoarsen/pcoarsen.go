@@ -3,14 +3,16 @@
 // protocol of Karypis & Kumar's coarse-grain parallel k-way algorithm,
 // reference [4] of the paper) extended with the SC'98 balanced-edge
 // tie-break, followed by parallel contraction into a distributed coarser
-// graph.
+// graph. The mate choice is the serial rule, coarsen.MateRule, applied
+// over a rank's owned vertices followed by its ghosts, and
+// BuildHierarchy's default weight cap is the serial coarsen.MatchingCap.
 //
 // The arbitration protocol gives each vertex's owner sole authority over
 // its matching state. Per round:
 //
-//  1. Every rank picks, for each of its unmatched vertices, the heaviest
-//     eligible neighbor. Local-local pairs commit immediately (the owner
-//     decides for both endpoints). A remote candidate becomes an outbound
+//  1. Every rank takes the mate rule's choice for each of its vertices not
+//     yet taken. Local-local pairs commit immediately (the owner decides
+//     for both endpoints). A remote candidate becomes an outbound
 //     proposal, and the proposer is frozen ("pending") for the round.
 //  2. Proposals travel to the targets' owners. A proposal to t is granted
 //     iff t is unmatched and not itself pending — except for mutual
@@ -18,8 +20,9 @@
 //     higher-global-id side yields, which breaks the symmetric livelock.
 //     Among competing proposals the heaviest edge (then lowest proposer
 //     id) wins.
-//  3. Responses release or bind the proposers, and refreshed ghost match
-//     flags make newly matched vertices ineligible in the next round.
+//  3. Responses release or bind the proposers, and the taken flags,
+//     rebuilt from the matching and refreshed on the ghosts, make newly
+//     matched vertices ineligible in the next round.
 //
 // The paper observes that this protocol matches fewer vertices per level
 // than serial matching ("slow coarsening"), giving the parallel partitioner
@@ -28,13 +31,15 @@
 package pcoarsen
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
+	"repro/internal/check"
+	"repro/internal/coarsen"
 	"repro/internal/pgraph"
 	"repro/internal/rng"
 	"repro/internal/trace"
-	"repro/internal/vecw"
 )
 
 // Options mirrors the serial coarsening options.
@@ -77,14 +82,19 @@ type Level struct {
 	CMap []int32
 }
 
-// matchState tracks one matching computation.
+// matchState tracks one matching computation. taken and the rule's vertex
+// weights span the local index space of the adjacency: the owned vertices,
+// then the ghosts.
 type matchState struct {
-	dg         *pgraph.DGraph
-	match      []int32 // owned: -1 unmatched, else mate's global id (own id = solo)
-	pending    []int32 // owned: global id of outbound proposal target, -1 if none
-	ghostMatch []int32 // ghosts: 1 if matched (as of last refresh)
-	ghostVwgt  []int32 // ghosts: weight vectors
-	stats      MatchStats
+	dg      *pgraph.DGraph
+	match   []int32 // owned: -1 unmatched, else mate's global id (own id = solo)
+	pending []int32 // owned: global id of outbound proposal target, -1 if none
+	// taken[u] >= 0 makes u ineligible as a mate: an owned vertex that is
+	// matched or proposed this round, or a ghost matched as of the last
+	// refresh.
+	taken []int32
+	rule  coarsen.MateRule
+	stats MatchStats
 }
 
 // proposal records are packed as 3 int32s: target gid, proposer gid, edge
@@ -101,36 +111,35 @@ func Match(dg *pgraph.DGraph, rand *rng.RNG, opt Options) ([]int32, MatchStats) 
 	if opt.Rounds <= 0 {
 		opt.Rounds = 4
 	}
-	nlocal := dg.NLocal()
+	nlocal, nall, m := dg.NLocal(), dg.NLocal()+dg.NGhost(), dg.Ncon
+	vwgt := make([]int32, nall*m)
+	copy(vwgt, dg.Vwgt)
+	dg.ExchangeGhostsVecI32(dg.Vwgt, m, vwgt[nlocal*m:])
 	st := &matchState{
-		dg:         dg,
-		match:      make([]int32, nlocal),
-		pending:    make([]int32, nlocal),
-		ghostMatch: make([]int32, dg.NGhost()),
-		ghostVwgt:  make([]int32, dg.NGhost()*dg.Ncon),
+		dg:      dg,
+		match:   make([]int32, nlocal),
+		pending: make([]int32, nlocal),
+		taken:   make([]int32, nall),
+		rule: coarsen.MateRule{Xadj: dg.Xadj, Adjncy: dg.Adjncy, Adjwgt: dg.Adjwgt, Vwgt: vwgt, Ncon: m,
+			MaxVertexWeight: opt.MaxVertexWeight, Balanced: opt.BalancedEdge},
 	}
 	for i := range st.match {
 		st.match[i] = -1
 		st.pending[i] = -1
 	}
-	dg.ExchangeGhostsVecI32(dg.Vwgt, dg.Ncon, st.ghostVwgt)
+	for i := range st.taken {
+		st.taken[i] = -1
+	}
 
 	order := make([]int32, nlocal)
-	matchedFlag := make([]int32, nlocal)
-	combined := make([]int64, dg.Ncon)
 	for round := 0; round < opt.Rounds; round++ {
 		rand.Perm(order)
-		props := st.proposeRound(order, combined, opt)
-		st.arbitrate(props)
-		// Refresh ghost match flags for the next round's eligibility.
-		for v := 0; v < nlocal; v++ {
-			if st.match[v] >= 0 {
-				matchedFlag[v] = 1
-			} else {
-				matchedFlag[v] = 0
-			}
-		}
-		dg.ExchangeGhostsI32(matchedFlag, st.ghostMatch)
+		st.arbitrate(st.proposeRound(order))
+		// Arbitration answers every proposal, so the owned vertices taken
+		// into the next round are the matched ones; the ghosts' entries
+		// come from their owners.
+		copy(st.taken[:nlocal], st.match)
+		dg.ExchangeGhostsI32(st.taken[:nlocal], st.taken[nlocal:])
 	}
 	first := dg.First()
 	for v := 0; v < nlocal; v++ {
@@ -141,69 +150,35 @@ func Match(dg *pgraph.DGraph, rand *rng.RNG, opt Options) ([]int32, MatchStats) 
 	return st.match, st.stats
 }
 
-// proposeRound selects candidates: local pairs commit, remote candidates
-// become proposals grouped by owner.
-func (st *matchState) proposeRound(order []int32, combined []int64, opt Options) [][]int32 {
+// proposeRound takes the mate rule's choice for each vertex not yet taken,
+// in visit order: a local mate pairs at once, a ghost becomes a proposal
+// grouped by its owner. A proposer is taken for the rest of the round but
+// its ghost target is not: other proposers may still bid for the target,
+// and its owner arbitrates.
+func (st *matchState) proposeRound(order []int32) [][]int32 {
 	dg := st.dg
-	p := dg.Comm.Size()
-	first := dg.First()
-	nlocal := dg.NLocal()
-	props := make([][]int32, p)
+	first, nlocal := dg.First(), int32(dg.NLocal())
+	props := make([][]int32, dg.Comm.Size())
 	work := 0
 
 	for _, v := range order {
-		if st.match[v] >= 0 || st.pending[v] >= 0 {
+		if st.taken[v] >= 0 {
 			continue
 		}
-		start, end := dg.Xadj[v], dg.Xadj[v+1]
-		work += int(end - start)
-		vw := dg.LocalVertexWeight(v)
-		best := int32(-1)
-		bestW := int32(-1)
-		bestJag := 0.0
-		for e := start; e < end; e++ {
-			u := dg.Adjncy[e]
-			var uw []int32
-			if int(u) < nlocal {
-				if st.match[u] >= 0 || st.pending[u] >= 0 || u == v {
-					continue
-				}
-				uw = dg.LocalVertexWeight(u)
-			} else {
-				slot := int(u) - nlocal
-				if st.ghostMatch[slot] == 1 {
-					continue
-				}
-				uw = st.ghostVwgt[slot*dg.Ncon : (slot+1)*dg.Ncon]
-			}
-			if opt.MaxVertexWeight > 0 && !fitsCap(vw, uw, opt.MaxVertexWeight) {
-				continue
-			}
-			w := dg.Adjwgt[e]
-			switch {
-			case w > bestW:
-				best, bestW = u, w
-				if opt.BalancedEdge {
-					bestJag = jag(combined, vw, uw)
-				}
-			case w == bestW && opt.BalancedEdge:
-				if j := jag(combined, vw, uw); j < bestJag {
-					best, bestJag = u, j
-				}
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		if int(best) < nlocal {
+		work += dg.Degree(int(v))
+		best, w := st.rule.Best(st.taken, v)
+		switch {
+		case best == v:
+			// No eligible neighbor.
+		case best < nlocal:
 			// Local pair: the owner (this rank) commits immediately.
-			st.match[v] = first + best
-			st.match[best] = first + int32(v)
-		} else {
-			gid := dg.GhostGlobal[int(best)-nlocal]
-			st.pending[v] = gid
+			st.match[v], st.match[best] = first+best, first+v
+			st.taken[v], st.taken[best] = st.match[v], st.match[best]
+		default:
+			gid := dg.GhostGlobal[best-nlocal]
+			st.pending[v], st.taken[v] = gid, gid
 			r := dg.Owner(gid)
-			props[r] = append(props[r], gid, first+int32(v), bestW)
+			props[r] = append(props[r], gid, first+v, w)
 			st.stats.Proposals++
 		}
 	}
@@ -211,7 +186,10 @@ func (st *matchState) proposeRound(order []int32, combined []int64, opt Options)
 	return props
 }
 
-// arbitrate runs the owner decision and the response leg.
+// arbitrate runs the owner decision and the response leg. Every received
+// proposal draws exactly one response, the winning bid's grant or a
+// rejection, so no owned vertex is pending afterwards (checked under
+// mcdebug).
 func (st *matchState) arbitrate(props [][]int32) {
 	dg := st.dg
 	p := dg.Comm.Size()
@@ -288,37 +266,15 @@ func (st *matchState) arbitrate(props [][]int32) {
 			st.pending[q] = -1
 		}
 	}
-	// Any proposer whose target's owner received no competing decision
-	// (e.g. proposal arrived but target matched locally before any bid was
-	// recorded) has been answered above; clear stragglers defensively.
-	for v := range st.pending {
-		if st.pending[v] >= 0 && st.match[v] >= 0 {
-			st.pending[v] = -1
+	if check.Enabled {
+		for v, t := range st.pending {
+			if t >= 0 {
+				panic(fmt.Sprintf("mcdebug: pcoarsen: vertex %d is still pending on %d after arbitration", first+int32(v), t))
+			}
 		}
 	}
 	dg.Comm.Work(len(targets) + len(rejected))
 }
-
-func fitsCap(a, b []int32, cap int64) bool {
-	for i := range a {
-		if int64(a[i])+int64(b[i]) > cap {
-			return false
-		}
-	}
-	return true
-}
-
-func jag(scratch []int64, a, b []int32) float64 {
-	for i := range a {
-		scratch[i] = int64(a[i]) + int64(b[i])
-	}
-	return vecw.Jaggedness(scratch)
-}
-
-// pendingStuck note: a pending proposer always receives exactly one
-// response per round (grant or reject), because the target owner answers
-// every received proposal. The defensive sweep in arbitrate documents the
-// invariant rather than relying on it silently.
 
 // coarseIDs numbers the coarse vertices of a matching (steps 1-3 of
 // Contract). It returns the coarse vertex distribution, the owned fine
@@ -524,14 +480,7 @@ func BuildHierarchy(dg *pgraph.DGraph, coarsenTo int, rand *rng.RNG, opt Options
 		}
 		o := opt
 		if o.MaxVertexWeight == 0 {
-			tot := cur.TotalVertexWeight()
-			var maxTot int64
-			for _, t := range tot {
-				if t > maxTot {
-					maxTot = t
-				}
-			}
-			o.MaxVertexWeight = 1 + maxTot*3/int64(2*coarsenTo)
+			o.MaxVertexWeight = coarsen.MatchingCap(cur.TotalVertexWeight(), coarsenTo)
 		}
 		if opt.Trace != nil {
 			opt.Trace.Begin("coarsen.level",

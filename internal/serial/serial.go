@@ -57,9 +57,10 @@ type Options struct {
 	// (sniff the finest graph's degree skew). See coarsen.Scheme.
 	CoarsenScheme coarsen.Scheme
 	// CoarsenWorkers sets the shared-memory worker count for the coarsening
-	// kernels (matching, contraction, LP clustering). Every value gives a
-	// bit-identical result (see coarsen.Options.Workers and DESIGN.md,
-	// "Parallel coarsening contract").
+	// kernels (matching and contraction; label propagation runs on one
+	// goroutine). Every value gives a bit-identical result (see
+	// coarsen.Options.Workers and DESIGN.md, "Parallel coarsening
+	// contract").
 	CoarsenWorkers int
 }
 

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 func key(b byte) cacheKey {
@@ -182,6 +186,41 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	if sa.key == sc.key {
 		t.Fatalf("different seeds hashed identically")
 	}
+
+	// Each variant describes the graph of its canonical text and must hash
+	// to that text's key: line ends, separators and comments are not part
+	// of the graph, nor is the order of a line's neighbours, and a
+	// neighbour listed twice is one edge of the summed weight.
+	const path = "3 2 11\n1 2 1\n1 1 1 3 1\n1 2 1\n"
+	for _, tc := range []struct{ name, canonical, variant string }{
+		{"CRLF line ends", path, "3 2 11\r\n1 2 1\r\n1 1 1 3 1\r\n1 2 1\r\n"},
+		{"tabs", path, "3\t2\t11\n1\t2\t1\n\t1 1\t1 3\t1\n1 2 1\t\n"},
+		{"comments", path, "% header\n3 2 11\n% vertex 1\n1 2 1\n%\n1 1 1 3 1\n% last\n1 2 1\n% end\n"},
+		{"neighbours out of order", path, "3 2 11\n1 2 1\n1 3 1 1 1\n1 2 1\n"},
+		{"repeated neighbour", "3 2 11\n1 2 3\n1 1 3 3 1\n1 2 1\n", "3 2 11\n1 2 1 2 2\n1 1 2 3 1 1 1\n1 2 1\n"},
+	} {
+		want, err := s.buildSpec(&PartitionRequest{Graph: tc.canonical, K: 2, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: canonical text: %v", tc.name, err)
+		}
+		got, err := s.buildSpec(&PartitionRequest{Graph: tc.variant, K: 2, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.key != want.key {
+			t.Errorf("%s: key %x, want the canonical text's %x", tc.name, got.key, want.key)
+		}
+	}
+}
+
+// metisText is g's METIS text as WriteMETIS writes it.
+func metisText(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graph.WriteMETIS(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 // TestCacheKeyGolden pins the canonical key of fixed requests. The disk
@@ -191,12 +230,24 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	s := newTestServer(t, Config{})
 	defer s.Close()
+	// The daemon's request shape: an inline mrng2t Type 1 (m=3) graph, as
+	// mcbench's daemon-zipf sends it, and an inline Type 2 graph, whose
+	// 0/1 phase indicators give many vertices zero weights.
+	spec2t, _ := gen.MeshByName("mrng2t")
+	type1 := metisText(t, gen.Type1(spec2t.Build(1000*7919+7), 3, 1100))
+	spec1t, _ := gen.MeshByName("mrng1t")
+	type2 := gen.Type2(spec1t.Build(7), 3, 11)
+	if !slicesContainsZero(type2.Vwgt) {
+		t.Fatal("the Type 2 graph has no zero vertex weight")
+	}
 	for _, tc := range []struct {
 		name string
 		req  PartitionRequest
 		want string
 	}{
 		{"inline path", PartitionRequest{Graph: "3 2 11\n1 2 1\n1 1 1 3 1\n1 2 1\n", K: 2, Seed: 5}, "7e9889bf8b0f24b4ebcd76cd573b74e1f0d9e09226999eb2476db9d0181a32db"},
+		{"inline mrng2t type1 m=3", PartitionRequest{Graph: type1, K: 64, Seed: 1}, "f42ced06c01e7c0e727d9520a911ed22608bf1a87b1cd181c74afb0a7dd7a9f6"},
+		{"inline mrng1t type2 m=3", PartitionRequest{Graph: metisText(t, type2), K: 8, Seed: 2}, "0c975af065ddad9ac3ff21b7d58f6d9ea82d9456463a46f97207866865e77e13"},
 		{"mesh type1 parallel", PartitionRequest{Mesh: "mrng1t", Workload: "type1", M: 3, K: 8, P: 4, Seed: 7, Tol: 0.03, Scheme: "slice"}, "be5bac48505f272abdb6fb83de03aa73d589ea027bcc0b3b90a32674a25a82b7"},
 		{"mesh type2 cluster", PartitionRequest{Mesh: "mrng1t", Workload: "type2", M: 2, K: 16, Seed: 3, Coarsen: "cluster"}, "1369dd2c5abfafe52bfe100a8f470f436b5f9f1612f795676f0fe9ac2f25eff8"},
 	} {
@@ -208,6 +259,16 @@ func TestCacheKeyGolden(t *testing.T) {
 			t.Errorf("%s: key = %s, want %s", tc.name, got, tc.want)
 		}
 	}
+}
+
+// slicesContainsZero reports whether w holds a zero.
+func slicesContainsZero(w []int32) bool {
+	for _, x := range w {
+		if x == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestBuildSpecValidation(t *testing.T) {

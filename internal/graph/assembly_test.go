@@ -74,19 +74,42 @@ func TestReadMETISReserveBound(t *testing.T) {
 
 var readSink *graph.Graph
 
-// BenchmarkReadMETIS times parsing one mcpartd request body of the
-// daemon-zipf workload: mrng2t with a Type 1, m=3 overlay, about 1 MB.
-func BenchmarkReadMETIS(b *testing.B) {
+// zipfBody is one mcpartd request body of the daemon-zipf workload:
+// mrng2t with a Type 1, m=3 overlay, about 1 MB of METIS text.
+func zipfBody(b *testing.B) []byte {
 	spec, _ := gen.MeshByName("mrng2t")
 	var body bytes.Buffer
 	if err := graph.WriteMETIS(&body, gen.Type1(spec.Build(1000*7919+7), 3, 1100)); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(body.Len()))
+	return body.Bytes()
+}
+
+// BenchmarkReadMETIS times parsing zipfBody through the io.Reader entry,
+// as mcpart and the streaming endpoint read a graph.
+func BenchmarkReadMETIS(b *testing.B) {
+	body := zipfBody(b)
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := graph.ReadMETIS(bytes.NewReader(body.Bytes()))
+		g, err := graph.ReadMETIS(bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		readSink = g
+	}
+}
+
+// BenchmarkReadMETISBytes times parsing zipfBody in place, as mcpartd
+// parses an inline graph.
+func BenchmarkReadMETISBytes(b *testing.B) {
+	body := zipfBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := graph.ReadMETISBytes(body, graph.Limits{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,11 +2,13 @@ package graph
 
 // Reference implementations the production code is compared against: the
 // sort-based Builder.Finish, the scan-only Validate, and the METIS reader
-// that splits each line with strings.Fields and parses each field with
-// strconv.ParseInt.
+// that splits each line with strings.Fields, parses each field with
+// strconv.ParseInt and assembles the graph through the Builder, matching
+// each line's entries for lower neighbors against it afterwards.
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -264,7 +266,7 @@ func readMETISReference(r io.Reader, lim Limits) (*Graph, error) {
 				return nil, fmt.Errorf("graph: adjacency entries exceed twice the %d-edge limit", lim.MaxEdges)
 			}
 		}
-		if lower, err = mergeLine(lower, lineStart); err != nil {
+		if lower, err = mergeLineReference(lower, lineStart); err != nil {
 			return nil, err
 		}
 	}
@@ -272,7 +274,7 @@ func readMETISReference(r io.Reader, lim Limits) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSymmetric(g, lower); err != nil {
+	if err := checkSymmetricReference(g, lower); err != nil {
 		return nil, err
 	}
 	if g.NumEdges() != m {
@@ -294,4 +296,61 @@ func nextDataLineReference(sc *bufio.Scanner) (string, error) {
 		return "", err
 	}
 	return "", io.ErrUnexpectedEOF
+}
+
+// mergeLineReference sorts the entries one vertex line appended to lower (those
+// from index start on) by neighbor and sums the weights of repeated
+// neighbors, as the Builder does for the graph's own edges, with the same
+// error when a sum does not fit int32.
+func mergeLineReference(lower []Edge, start int) ([]Edge, error) {
+	line := lower[start:]
+	slices.SortFunc(line, func(a, b Edge) int { return cmp.Compare(a.U, b.U) })
+	out := start
+	for i, e := range line {
+		if i > 0 && lower[out-1].U == e.U {
+			sum := int64(lower[out-1].W) + int64(e.W)
+			if sum > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: vertex %d: repeated edge {%d,%d} sums to a weight past the int32 maximum %d", e.V+1, e.U+1, e.V+1, math.MaxInt32)
+			}
+			lower[out-1].W = int32(sum)
+			continue
+		}
+		lower[out] = e
+		out++
+	}
+	return lower[:out], nil
+}
+
+// checkSymmetricReference compares, for every vertex v, the entries v's own line
+// gives for lower-numbered neighbors (lower, grouped by v in line order,
+// each group sorted and merged by mergeLineReference) with the edges the lower
+// endpoints' lines put into g, and names the first vertex pair whose two
+// lines disagree.
+func checkSymmetricReference(g *Graph, lower []Edge) error {
+	j := 0
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		adj, wgt := g.Neighbors(v) // ascending: the lower neighbors come first
+		k := 0
+		for k < len(adj) && adj[k] < v {
+			k++
+		}
+		end := j
+		for end < len(lower) && lower[end].V == v {
+			end++
+		}
+		mine := lower[j:end]
+		j = end
+		for i := 0; i < max(k, len(mine)); i++ {
+			switch {
+			case i == len(mine) || i < k && adj[i] < mine[i].U:
+				return fmt.Errorf("graph: vertex %d lists neighbor %d, but vertex %d does not list %d", adj[i]+1, v+1, v+1, adj[i]+1)
+			case i == k || mine[i].U < adj[i]:
+				u := mine[i].U
+				return fmt.Errorf("graph: vertex %d lists neighbor %d, but vertex %d does not list %d", v+1, u+1, u+1, v+1)
+			case wgt[i] != mine[i].W:
+				return fmt.Errorf("graph: edge {%d,%d} has weight %d on vertex %d's line and %d on vertex %d's", adj[i]+1, v+1, wgt[i], adj[i]+1, mine[i].W, v+1)
+			}
+		}
+	}
+	return nil
 }

@@ -62,7 +62,7 @@ type Metrics struct {
 	migrationVertices int64            // vertices migrated across all repartitions
 	migrationWeight   int64            // summed per-constraint weight migrated
 
-	stages map[string]*histogram // per-stage latency: queue|run|total
+	stages map[string]*histogram // per-stage latency: ingest|queue|run|total
 
 	// gauges, read at render time
 	queueDepth   func() int

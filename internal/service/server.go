@@ -33,7 +33,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -422,19 +421,20 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var req PartitionRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	// Ingest: decode, parse or build the graph, overlay and key. The
+	// body is not read again, so its graph is unescaped in place.
+	ingest := time.Now()
+	req, text, err := decodePartition(body)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-
-	spec, err := s.buildSpec(&req)
+	spec, err := s.specFor(&req, text)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.met.observeStage("ingest", time.Since(ingest).Seconds())
 	spec.traced = traced
 	spec.print = &fp
 	s.servePartition(w, r, &req, spec, start)
@@ -612,15 +612,20 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 // buildSpec validates a request and materializes the graph. All failures
 // are client errors (400).
 func (s *Server) buildSpec(req *PartitionRequest) (*jobSpec, error) {
-	if (req.Graph == "") == (req.Mesh == "") {
+	return s.specFor(req, []byte(req.Graph))
+}
+
+// specFor is buildSpec with the inline graph's METIS text given as text,
+// in place of req.Graph, which it does not read.
+func (s *Server) specFor(req *PartitionRequest, text []byte) (*jobSpec, error) {
+	if (len(text) == 0) == (req.Mesh == "") {
 		return nil, errors.New("exactly one of \"graph\" (inline METIS text) or \"mesh\" (named mesh) is required")
 	}
 	var g *partition.Graph
 	var err error
 	switch {
-	case req.Graph != "":
-		g, err = graph.ReadMETISLimited(strings.NewReader(req.Graph),
-			graph.Limits{MaxVertices: s.cfg.MaxVertices, MaxEdges: s.cfg.MaxEdges})
+	case len(text) > 0:
+		g, err = graph.ReadMETISBytes(text, graph.Limits{MaxVertices: s.cfg.MaxVertices, MaxEdges: s.cfg.MaxEdges})
 		if err != nil {
 			return nil, err
 		}
@@ -712,17 +717,21 @@ func parseScheme(name string) (prefine.Scheme, error) {
 // canonical METIS form (stable adjacency order, explicit weights), so any
 // two descriptions of the same graph — inline text with odd whitespace,
 // comments, or a named mesh — hash identically; the parameter tuple is
-// appended after a NUL separator.
+// appended after a NUL separator. The text is formatted once, in chunks
+// of keyChunk bytes, straight into the hash.
 func (s *Server) cacheKeyFor(spec *jobSpec) cacheKey {
 	h := sha256.New()
-	// WriteMETIS into a hasher cannot fail.
-	_ = graph.WriteMETIS(h, spec.g)
+	// EncodeMETIS into a hasher cannot fail.
+	_ = graph.EncodeMETIS(h, spec.g, make([]byte, 0, keyChunk))
 	fmt.Fprintf(h, "\x00k=%d m=%d p=%d seed=%d tol=%g scheme=%d coarsen=%d",
 		spec.k, spec.g.Ncon, spec.p, spec.seed, spec.tol, spec.scheme, spec.coarsen)
 	var k cacheKey
 	h.Sum(k[:0])
 	return k
 }
+
+// keyChunk is the buffer cacheKeyFor formats the canonical text into.
+const keyChunk = 64 << 10
 
 // runJob executes one admitted job on a worker.
 func (s *Server) runJob(j *job) {

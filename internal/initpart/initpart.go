@@ -48,6 +48,14 @@ type Options struct {
 	// lowest-indexed best-scoring trial, so the partition is bit-identical
 	// for every value of TrialWorkers.
 	TrialWorkers int
+	// Stop, when non-nil, is polled before each bisection trial and each
+	// FM pass, possibly from several trial goroutines at once. Once it
+	// returns true, RecursiveBisect stops improving: the trials left are
+	// skipped, and the vertices of every recursion node not yet split get
+	// the node's first label. The partition returned then has every label
+	// in [0,k) but is neither balanced nor refined; the caller abandons
+	// it. A nil Stop leaves every result unchanged.
+	Stop func() bool
 }
 
 func (o Options) withDefaults() Options {
@@ -147,7 +155,11 @@ type bisectShared struct {
 	vwgt        []int32      // the current node graph's flattened vertex weights
 	activeCons  int
 	targetScore float64
+	stop        func() bool // Options.Stop
 }
+
+// stopped polls the stop hook, if there is one.
+func (sh *bisectShared) stopped() bool { return sh.stop != nil && sh.stop() }
 
 // trialState is the mutable scratch one trial needs; each worker goroutine
 // owns exactly one, so trials never share mutable state.
@@ -178,6 +190,7 @@ func newBisector(g *graph.Graph, opt Options) *bisector {
 	b.rngs = make([]rng.RNG, opt.Trials)
 	sh := &b.shared
 	sh.m = m
+	sh.stop = opt.Stop
 	sh.total = make([]int64, m)
 	sh.invTotal = make([]float64, m)
 	sh.dom = make([]int32, n)
@@ -208,7 +221,7 @@ func newBisector(g *graph.Graph, opt Options) *bisector {
 }
 
 func (b *bisector) recurse(g *graph.Graph, orig []int32, k int, base int32, out []int32, rand *rng.RNG) {
-	if k <= 1 {
+	if k <= 1 || b.shared.stopped() {
 		for _, ov := range orig {
 			out[ov] = base
 		}
@@ -360,6 +373,12 @@ func (b *bisector) bisectNode(g *graph.Graph, rand *rng.RNG, frac0, tol float64)
 }
 
 func (b *bisector) runTrial(g *graph.Graph, t, wi int) {
+	if b.shared.stopped() {
+		// The trial's buffer keeps the 0/1 labels of an earlier trial,
+		// which is a bisection of a kind; the run is abandoned anyway.
+		b.scores[t] = score{}
+		return
+	}
 	st := b.workers[wi]
 	cur := b.results[t][:g.NumVertices()]
 	r := &b.rngs[t]
@@ -561,7 +580,7 @@ func fm2(g *graph.Graph, part []int32, rand *rng.RNG, sh *bisectShared, st *tria
 	locked := st.locked
 	final := stateScore(sh, st.pwgts, cut)
 	negLimit := maxNegMoves(n)
-	for pass := 0; pass < 8; pass++ {
+	for pass := 0; pass < 8 && !sh.stopped(); pass++ {
 		for side := 0; side < 2; side++ {
 			for c := 0; c < m; c++ {
 				st.queues[side][c].Reset()

@@ -141,3 +141,35 @@ func TestDominantScaling(t *testing.T) {
 		t.Errorf("dominant = %d, want 0 when constraint 1 has no total", d)
 	}
 }
+
+// TestRecursiveBisectStop: a stop hook that never fires changes no label,
+// at one trial worker and at two; one that fires mid-run ends it early
+// with every label in [0,k).
+func TestRecursiveBisectStop(t *testing.T) {
+	g := gen.Type1(gen.MRNGLike(10, 10, 10, 1), 3, 5)
+	const k = 16
+	for _, workers := range []int{1, 2} {
+		want := RecursiveBisect(g, k, rng.New(3), Options{TrialWorkers: workers})
+		got := RecursiveBisect(g, k, rng.New(3), Options{TrialWorkers: workers, Stop: func() bool { return false }})
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("workers=%d: an unfired stop hook changed vertex %d's label: %d, want %d", workers, v, got[v], want[v])
+			}
+		}
+	}
+	for _, after := range []int{0, 1, 7, 40} {
+		polls := 0
+		part := RecursiveBisect(g, k, rng.New(3), Options{TrialWorkers: 1, Stop: func() bool {
+			polls++
+			return polls > after
+		}})
+		for v, p := range part {
+			if p < 0 || p >= k {
+				t.Fatalf("stopped after %d polls: vertex %d has label %d, outside [0,%d)", after, v, p, k)
+			}
+		}
+		if polls > after+2*k {
+			t.Errorf("stopped after %d polls, but polled %d times in all", after, polls)
+		}
+	}
+}

@@ -87,3 +87,52 @@ func TestPartitionCtxDeadlineMidRun(t *testing.T) {
 		t.Fatalf("got a partition from a timed-out run")
 	}
 }
+
+// TestPartitionCtxDeadlineInInit: on mrng2s at p=64 every rank's block is
+// thinner than a mesh layer, coarsening stops after one level, and the
+// run spends its time in pinit, where each rank partitions the gathered
+// graph on its own (ROADMAP, the high-p collapse). Without a stop hook
+// there a 300 ms deadline ended the run only after about 20 s, when every
+// rank had finished; pinit now polls the deadline between bisection
+// trials and FM passes, and the next collective vote ends the run.
+func TestPartitionCtxDeadlineInInit(t *testing.T) {
+	spec, _ := gen.MeshByName("mrng2s")
+	g := gen.Type1(spec.Build(1*7919+7), 1, 101)
+	const deadline, bound = 300 * time.Millisecond, 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	part, _, err := PartitionCtx(ctx, g, 64, 64, Options{Seed: 1})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if part != nil {
+		t.Fatal("got a partition from a timed-out run")
+	}
+	t.Logf("a %v deadline returned after %v", deadline, elapsed)
+	if elapsed > deadline+bound {
+		t.Fatalf("the run returned %v after its deadline, past the bound of %v", elapsed-deadline, bound)
+	}
+}
+
+// TestPartitionCtxUnfiredDeadline: a deadline that never fires arms the
+// ranks' checks in pinit, which must not change a label.
+func TestPartitionCtxUnfiredDeadline(t *testing.T) {
+	g := gen.Type1(gen.MRNGLike(12, 12, 12, 3), 2, 7)
+	want, _, err := Partition(g, 8, 4, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, _, err := PartitionCtx(ctx, g, 8, 4, Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("label mismatch at vertex %d: %d vs %d", i, got[i], want[i])
+		}
+	}
+}

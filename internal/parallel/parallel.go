@@ -224,9 +224,12 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 	// that can never fire (Done() == nil, e.g. context.Background) skips
 	// the vote machinery entirely, so non-cancellable runs pay no extra
 	// collectives and their simulated times are unchanged.
-	var stop func() bool
+	// local is the rank's own check, for pinit, whose work between
+	// collectives is one rank's serial partitioning of the gathered graph.
+	var stop, local func() bool
 	if ctx.Done() != nil {
 		stop = func() bool { return c.AgreeAbort(ctx.Err() != nil) }
+		local = func() bool { return ctx.Err() != nil }
 	}
 
 	// Distribute and coarsen.
@@ -287,6 +290,7 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 		Trials:       opt.InitTrials,
 		Passes:       opt.InitPasses,
 		TrialWorkers: opt.TrialWorkers,
+		Stop:         local,
 	})
 	if rk != nil {
 		rk.End(trace.I64("cut", initCut))

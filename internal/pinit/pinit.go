@@ -24,6 +24,13 @@ type Options struct {
 	// concurrently (0 = GOMAXPROCS, 1 = sequential); the result is
 	// bit-identical for every value (initpart.Options.TrialWorkers).
 	TrialWorkers int
+	// Stop, when non-nil, is this rank's own cancellation check, not a
+	// collective vote: the recursive bisection polls it between trials
+	// and FM passes, and the k-way refinement of the gathered graph at
+	// each pass. Once it fires the rank's candidate is cut short and
+	// meaningless, but the rank still reaches the collectives below, so
+	// the caller's next collective vote can abandon the run on every rank.
+	Stop func() bool
 }
 
 // Partition gathers the coarsest graph, has every rank partition it
@@ -44,7 +51,7 @@ func Partition(dg *pgraph.DGraph, k int, rand *rng.RNG, opt Options) ([]int32, i
 	part := computeCandidate(g, k, rand, opt)
 	cut := metrics.EdgeCut(g, part)
 	imb := metrics.MaxImbalance(g, part, k)
-	for attempt := 0; attempt < 2 && imb > 1+2*opt.Tol; attempt++ {
+	for attempt := 0; attempt < 2 && imb > 1+2*opt.Tol && (opt.Stop == nil || !opt.Stop()); attempt++ {
 		p2 := computeCandidate(g, k, rand, opt)
 		cut2 := metrics.EdgeCut(g, p2)
 		imb2 := metrics.MaxImbalance(g, p2, k)
@@ -79,8 +86,8 @@ func Partition(dg *pgraph.DGraph, k int, rand *rng.RNG, opt Options) ([]int32, i
 // computeCandidate runs the serial pipeline on the gathered coarsest
 // graph: recursive bisection, then a few k-way refinement passes.
 func computeCandidate(g *graph.Graph, k int, rand *rng.RNG, opt Options) []int32 {
-	part := initpart.RecursiveBisect(g, k, rand, initpart.Options{Tol: opt.Tol, Trials: opt.Trials, TrialWorkers: opt.TrialWorkers})
-	ref := kwayrefine.NewRefiner(k, g.Ncon, kwayrefine.Options{Tol: opt.Tol, Passes: opt.Passes})
+	part := initpart.RecursiveBisect(g, k, rand, initpart.Options{Tol: opt.Tol, Trials: opt.Trials, TrialWorkers: opt.TrialWorkers, Stop: opt.Stop})
+	ref := kwayrefine.NewRefiner(k, g.Ncon, kwayrefine.Options{Tol: opt.Tol, Passes: opt.Passes, Stop: opt.Stop})
 	ref.Refine(g, part, rand)
 	return part
 }

@@ -11,7 +11,7 @@
 // every constraint under its limit before chasing edge-cut.
 //
 // This phase dominates serial wall time on the bench meshes, so the
-// implementation is built around a per-call bisector that owns every piece
+// implementation is built around a per-call Bisector that owns every piece
 // of scratch (see DESIGN.md, "Memory discipline & parallel trials"): trial
 // state and queues are allocated once and reused across all recursion
 // nodes, subgraphs are carved out of a stack-disciplined arena instead of
@@ -74,18 +74,17 @@ func (o Options) withDefaults() Options {
 // RecursiveBisect computes a k-way partitioning of g by recursive
 // multi-constraint bisection and returns the part label per vertex.
 func RecursiveBisect(g *graph.Graph, k int, rand *rng.RNG, opt Options) []int32 {
-	opt = opt.withDefaults()
 	n := g.NumVertices()
 	part := make([]int32, n)
 	if k <= 1 || n == 0 {
 		return part
 	}
-	b := newBisector(g, opt)
+	b := NewBisector(g, opt)
 	orig := make([]int32, n)
 	for i := range orig {
 		orig[i] = int32(i)
 	}
-	b.recurse(g, orig, k, 0, part, rand)
+	b.Recurse(g, orig, k, 0, part, rand)
 	return part
 }
 
@@ -94,49 +93,54 @@ func RecursiveBisect(g *graph.Graph, k int, rand *rng.RNG, opt Options) []int32 
 // seeded attempts (greedy growing + multi-constraint FM) and returns the
 // best bisection found.
 func Bisect(g *graph.Graph, rand *rng.RNG, frac0, tol float64, trials int) []int32 {
-	opt := Options{Tol: tol, Trials: trials, TrialWorkers: 1}.withDefaults()
-	b := newBisector(g, opt)
-	win := b.bisectNode(g, rand, frac0, tol)
+	b := NewBisector(g, Options{Tol: tol, Trials: trials, TrialWorkers: 1})
+	win, _ := b.bisectNode(g, rand, frac0, tol)
 	return append([]int32(nil), win...)
 }
 
-// score orders candidate bisections: balanced beats unbalanced; within the
+// Score orders candidate bisections: balanced beats unbalanced; within the
 // same balance class, lower cut wins; among unbalanced, lower imbalance
 // wins first.
-type score struct {
-	balanced bool
-	imb      float64
-	cut      int64
+type Score struct {
+	Balanced bool
+	Imb      float64 // the largest weight-to-target ratio over both sides and all constraints
+	Cut      int64
 }
 
-func (s score) better(o score) bool {
-	if s.balanced != o.balanced {
-		return s.balanced
+// Better reports whether s ranks strictly ahead of o.
+func (s Score) Better(o Score) bool {
+	if s.Balanced != o.Balanced {
+		return s.Balanced
 	}
-	if s.balanced {
-		return s.cut < o.cut
+	if s.Balanced {
+		return s.Cut < o.Cut
 	}
-	if s.imb != o.imb {
-		return s.imb < o.imb
+	if s.Imb != o.Imb {
+		return s.Imb < o.Imb
 	}
-	return s.cut < o.cut
+	return s.Cut < o.Cut
 }
 
-// bisector owns every buffer used by one RecursiveBisect call, sized once
+// Bisector owns every buffer used by one recursive bisection, sized once
 // at the root graph and reused across all recursion nodes and trials. The
 // arena backs the per-node allocations whose lifetime nests with the
 // recursion (subgraph CSR arrays, orig index lists); everything else is a
-// flat buffer resliced per node.
-type bisector struct {
+// flat buffer resliced per node. RecursiveBisect drives one through the
+// whole tree; the parallel initial partitioning (internal/pinit) drives the
+// upper nodes itself, one Node and one Side at a time, and hands each rank's
+// last node to Recurse. A Bisector serves one goroutine.
+type Bisector struct {
 	opt     Options
 	m       int
 	a       *arena.Arena
 	shared  bisectShared
 	workers []*trialState // one private scratch set per trial goroutine
 	results [][]int32     // per-trial candidate bisections, sized maxN
-	scores  []score       // per-trial outcome, indexed like results
+	scores  []Score       // per-trial outcome, indexed like results
 	rngs    []rng.RNG     // per-trial streams, reseeded per node via ForkInto
 	remap   []int32       // original vertex -> index within its side
+	nodes   int           // bisection nodes run so far
+	trials  int           // bisection trials run so far
 }
 
 // bisectShared is the per-node setup every trial reads but never writes:
@@ -173,20 +177,22 @@ type trialState struct {
 	queues [2][]*pqueue.Queue
 }
 
-func newBisector(g *graph.Graph, opt Options) *bisector {
+// NewBisector sizes a Bisector for g and every subgraph carved from it.
+func NewBisector(g *graph.Graph, opt Options) *Bisector {
+	opt = opt.withDefaults()
 	n := g.NumVertices()
 	m := g.Ncon
 	nw := min(opt.TrialWorkers, opt.Trials)
 	if nw < 1 {
 		nw = 1
 	}
-	b := &bisector{opt: opt, m: m, a: arena.New()}
+	b := &Bisector{opt: opt, m: m, a: arena.New()}
 	b.remap = make([]int32, n)
 	b.results = make([][]int32, opt.Trials)
 	for t := range b.results {
 		b.results[t] = make([]int32, n)
 	}
-	b.scores = make([]score, opt.Trials)
+	b.scores = make([]Score, opt.Trials)
 	b.rngs = make([]rng.RNG, opt.Trials)
 	sh := &b.shared
 	sh.m = m
@@ -220,7 +226,12 @@ func newBisector(g *graph.Graph, opt Options) *bisector {
 	return b
 }
 
-func (b *bisector) recurse(g *graph.Graph, orig []int32, k int, base int32, out []int32, rand *rng.RNG) {
+// Work returns the bisection nodes and trials this Bisector has run.
+func (b *Bisector) Work() (nodes, trials int) { return b.nodes, b.trials }
+
+// Recurse partitions node g into k parts labeled base..base+k-1 by
+// recursive bisection, writing each vertex's label to out[orig[v]].
+func (b *Bisector) Recurse(g *graph.Graph, orig []int32, k int, base int32, out []int32, rand *rng.RNG) {
 	if k <= 1 || b.shared.stopped() {
 		for _, ov := range orig {
 			out[ov] = base
@@ -229,81 +240,74 @@ func (b *bisector) recurse(g *graph.Graph, orig []int32, k int, base int32, out 
 	}
 	k0 := (k + 1) / 2
 	k1 := k - k0
-	frac0 := float64(k0) / float64(k)
+	bi, _ := b.Node(g, k, rand)
+	// bi aliases a trial result buffer and remap is shared across the whole
+	// recursion, so both must be fully consumed — subgraphs built, origs
+	// scattered, leaf sides labeled — before recursing into either child.
+	mark := b.a.Mark()
+	g0, orig0 := b.Side(g, bi, orig, 0, k0, base, out)
+	g1, orig1 := b.Side(g, bi, orig, 1, k1, base+int32(k0), out)
+	if k0 > 1 {
+		b.Recurse(g0, orig0, k0, base, out, rand)
+	}
+	if k1 > 1 {
+		b.Recurse(g1, orig1, k1, base+int32(k0), out, rand)
+	}
+	b.a.Release(mark)
+}
+
+// Node bisects one recursion node of k parts: side 0 targets ceil(k/2)/k
+// of every constraint's weight. It runs the Trials trials and returns the
+// winning bisection (a view into the winner's result buffer, valid until
+// the next Node call) and its score.
+func (b *Bisector) Node(g *graph.Graph, k int, rand *rng.RNG) ([]int32, Score) {
+	frac0 := float64((k+1)/2) / float64(k)
 	// Give deeper levels a pro-rated slice of the tolerance so the product
 	// of per-level imbalances stays near the target.
 	tol := b.opt.Tol * 0.9
 	if k > 2 {
 		tol = b.opt.Tol * 0.5
 	}
-	bi := b.bisectNode(g, rand, frac0, tol)
-	if k == 2 {
-		// Both children are leaves: label directly, no subgraphs needed.
-		for v, ov := range orig {
-			out[ov] = base + bi[v]
-		}
-		return
-	}
+	return b.bisectNode(g, rand, frac0, tol)
+}
 
+// Side hands on one side of node g's bisection bi, which gets parts parts
+// labeled from first. A side of one part is finished: each of its vertices
+// v gets out[orig[v]] = first, and Side returns nil. A larger side is
+// carved out of the arena as its induced subgraph and its vertices'
+// original ids, valid until the Release of a Mark taken before the call.
+func (b *Bisector) Side(g *graph.Graph, bi, orig []int32, side int32, parts int, first int32, out []int32) (*graph.Graph, []int32) {
+	if parts <= 1 {
+		for v, ov := range orig {
+			if bi[v] == side {
+				out[ov] = first
+			}
+		}
+		return nil, nil
+	}
 	n := g.NumVertices()
-	mark := b.a.Mark()
 	remap := b.remap[:n]
-	n0, n1 := 0, 0
+	ns := 0
 	for v := 0; v < n; v++ {
-		if bi[v] == 0 {
-			remap[v] = int32(n0)
-			n0++
-		} else {
-			remap[v] = int32(n1)
-			n1++
+		if bi[v] == side {
+			remap[v] = int32(ns)
+			ns++
 		}
 	}
-	// bi aliases a trial result buffer and remap is shared across the whole
-	// recursion, so both must be fully consumed — subgraphs built, origs
-	// scattered, leaf sides labeled — before recursing into either child.
-	var g0, g1 *graph.Graph
-	var orig0, orig1 []int32
-	if k0 > 1 {
-		g0 = b.splitSide(g, bi, remap, 0, n0)
-		orig0 = b.a.I32(n0)
-	}
-	if k1 > 1 {
-		g1 = b.splitSide(g, bi, remap, 1, n1)
-		orig1 = b.a.I32(n1)
-	}
-	for v, ov := range orig {
-		if bi[v] == 0 {
-			if k0 > 1 {
-				orig0[remap[v]] = ov
-			} else {
-				out[ov] = base
-			}
-		} else {
-			if k1 > 1 {
-				orig1[remap[v]] = ov
-			} else {
-				out[ov] = base + int32(k0)
-			}
-		}
-	}
-	if k0 > 1 {
-		b.recurse(g0, orig0, k0, base, out, rand)
-	}
-	if k1 > 1 {
-		b.recurse(g1, orig1, k1, base+int32(k0), out, rand)
-	}
-	b.a.Release(mark)
+	return b.splitSide(g, bi, remap, orig, side, ns)
 }
 
 // splitSide extracts the side-induced subgraph as arena-backed CSR in one
 // O(n+e) pass, replacing the Builder path (which re-sorts and re-validates
-// edges the parent graph already guarantees). remap must map each vertex of
-// g to its index within its own side.
-func (b *bisector) splitSide(g *graph.Graph, bi, remap []int32, side int32, ns int) *graph.Graph {
+// edges the parent graph already guarantees), along with the original ids
+// of its vertices. remap must map each vertex of the side to its index
+// within the side.
+func (b *Bisector) splitSide(g *graph.Graph, bi, remap, orig []int32, side int32, ns int) (*graph.Graph, []int32) {
 	m := b.m
 	n := g.NumVertices()
 	xadj := b.a.I32(ns + 1)
 	vwgt := b.a.I32(ns * m)
+	subOrig := b.a.I32(ns)
 	// Upper bound: every parent edge could survive. The arena recycles the
 	// slack, so exactness is not worth a second counting pass.
 	bound := len(g.Adjncy)
@@ -316,6 +320,7 @@ func (b *bisector) splitSide(g *graph.Graph, bi, remap []int32, side int32, ns i
 		if bi[v] != side {
 			continue
 		}
+		subOrig[ni] = orig[v]
 		copy(vwgt[ni*m:(ni+1)*m], g.Vwgt[v*m:(v+1)*m])
 		adj, wgt := g.Neighbors(int32(v))
 		for i, u := range adj {
@@ -328,21 +333,23 @@ func (b *bisector) splitSide(g *graph.Graph, bi, remap []int32, side int32, ns i
 		ni++
 		xadj[ni] = pos
 	}
-	//mcvet:ignore arenapair — the subgraph lives only inside recurse(), which Releases its mark strictly after the child bisection consumed it
-	return &graph.Graph{Ncon: m, Xadj: xadj, Adjncy: adjncy[:pos], Adjwgt: adjwgt[:pos], Vwgt: vwgt}
+	//mcvet:ignore arenapair — the subgraph and its ids live until the Release of the caller's Mark, which Recurse takes strictly after the child bisection consumed them
+	return &graph.Graph{Ncon: m, Xadj: xadj, Adjncy: adjncy[:pos], Adjwgt: adjwgt[:pos], Vwgt: vwgt}, subOrig
 }
 
 // bisectNode runs the trials for one recursion node and returns the winning
 // bisection (a view into the winner's result buffer, valid until the next
-// bisectNode call). Each trial t draws only from b.rngs[t], forked here from
-// the node's generator, and writes only its own results/scores slot, so the
-// outcome is independent of how trials are scheduled across workers; the
-// winner scan takes the lowest-indexed best score, matching what a
-// sequential run of the same trials would keep.
-func (b *bisector) bisectNode(g *graph.Graph, rand *rng.RNG, frac0, tol float64) []int32 {
+// bisectNode call) and its score. Each trial t draws only from b.rngs[t],
+// forked here from the node's generator, and writes only its own
+// results/scores slot, so the outcome is independent of how trials are
+// scheduled across workers; the winner scan takes the lowest-indexed best
+// score, matching what a sequential run of the same trials would keep.
+func (b *Bisector) bisectNode(g *graph.Graph, rand *rng.RNG, frac0, tol float64) ([]int32, Score) {
 	n := g.NumVertices()
 	b.shared.setup(g, frac0, tol)
 	trials := b.opt.Trials
+	b.nodes++
+	b.trials += trials
 	for t := 0; t < trials; t++ {
 		rand.ForkInto(&b.rngs[t], uint64(t))
 	}
@@ -365,18 +372,18 @@ func (b *bisector) bisectNode(g *graph.Graph, rand *rng.RNG, frac0, tol float64)
 	}
 	best := 0
 	for t := 1; t < trials; t++ {
-		if b.scores[t].better(b.scores[best]) {
+		if b.scores[t].Better(b.scores[best]) {
 			best = t
 		}
 	}
-	return b.results[best][:n]
+	return b.results[best][:n], b.scores[best]
 }
 
-func (b *bisector) runTrial(g *graph.Graph, t, wi int) {
+func (b *Bisector) runTrial(g *graph.Graph, t, wi int) {
 	if b.shared.stopped() {
 		// The trial's buffer keeps the 0/1 labels of an earlier trial,
 		// which is a bisection of a kind; the run is abandoned anyway.
-		b.scores[t] = score{}
+		b.scores[t] = Score{}
 		return
 	}
 	st := b.workers[wi]
@@ -571,7 +578,7 @@ const maxUnbalancedMoves = 100
 // computePwgts, and computeGains recomputations are gone — one
 // computePwgts and one computeGains per trial, at the start, the gain pass
 // also yielding the cut.
-func fm2(g *graph.Graph, part []int32, rand *rng.RNG, sh *bisectShared, st *trialState) score {
+func fm2(g *graph.Graph, part []int32, rand *rng.RNG, sh *bisectShared, st *trialState) Score {
 	n := g.NumVertices()
 	m := sh.m
 	computePwgts(g, part, m, st.pwgts)
@@ -627,14 +634,14 @@ func fm2(g *graph.Graph, part []int32, rand *rng.RNG, sh *bisectShared, st *tria
 			}
 
 			s := stateScore(sh, st.pwgts, cut)
-			if s.better(bestState) {
+			if s.Better(bestState) {
 				bestState = s
 				bestLen = len(st.moves)
 				sinceBest = 0
 			} else {
 				sinceBest++
 				lim := negLimit
-				if !s.balanced {
+				if !s.Balanced {
 					lim = maxUnbalancedMoves
 				}
 				if sinceBest > lim {
@@ -665,7 +672,7 @@ func fm2(g *graph.Graph, part []int32, rand *rng.RNG, sh *bisectShared, st *tria
 				}
 			}
 		}
-		cut = bestState.cut
+		cut = bestState.Cut
 		final = bestState
 		if bestLen == 0 {
 			// No move improved on the pass's starting state: converged.
@@ -679,7 +686,7 @@ func fm2(g *graph.Graph, part []int32, rand *rng.RNG, sh *bisectShared, st *tria
 // runs once per FM move, so the per-constraint division is hoisted into the
 // precomputed invTarget reciprocals (weightless constraints have
 // invTarget 0 and thus never dominate the max).
-func stateScore(sh *bisectShared, pwgts []int64, cut int64) score {
+func stateScore(sh *bisectShared, pwgts []int64, cut int64) Score {
 	imb := 0.0
 	for side := 0; side < 2; side++ {
 		inv := sh.invTarget[side]
@@ -690,7 +697,7 @@ func stateScore(sh *bisectShared, pwgts []int64, cut int64) score {
 			}
 		}
 	}
-	return score{balanced: imb <= 1+sh.tol+1e-9, imb: imb, cut: cut}
+	return Score{Balanced: imb <= 1+sh.tol+1e-9, Imb: imb, Cut: cut}
 }
 
 // selectMove picks the next vertex to move under the balance-first policy,

@@ -36,65 +36,65 @@ type goldenCase struct {
 // all four refinement schemes, and the direction filter on and off.
 var goldenGrid = []goldenCase{
 	{mesh: "mrng1t", typ: 1, m: 1, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0x1970ae313c99e6d4, cut: 1625, moves: 48, simBits: 0x3f871cbc967739e5},
+		hash: 0xf593880629afe340, cut: 1702, moves: 58, simBits: 0x3f8b9591e1ba25b8},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0x657a6a4ca1bab8d7, cut: 2094, moves: 74, simBits: 0x3f8b8f5201a5529f},
+		hash: 0xb035bef6f86fce75, cut: 2181, moves: 124, simBits: 0x3f86eb61f99f5caf},
 	{mesh: "mrng1t", typ: 1, m: 5, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0xb07fdd339eeabee5, cut: 2560, moves: 111, simBits: 0x3f921ac3aad914d5},
+		hash: 0x569dfd08a2b03fc3, cut: 2858, moves: 152, simBits: 0x3f963fa4e42e1b08},
 	{mesh: "mrng1t", typ: 2, m: 1, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0x4ded7453f7146223, cut: 1601, moves: 87, simBits: 0x3f80789f947e7e6c},
+		hash: 0xd94b6e91890ecbf3, cut: 1557, moves: 115, simBits: 0x3f8222338bbc99f5},
 	{mesh: "mrng1t", typ: 2, m: 3, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0x8c946a0f03e70586, cut: 4607, moves: 116, simBits: 0x3f8a7d3191c4fa3d},
+		hash: 0xca2aa811962b8ca3, cut: 4557, moves: 178, simBits: 0x3f890f0a97b020bf},
 	{mesh: "mrng1t", typ: 2, m: 5, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0x4acc92aeb1dbb796, cut: 6271, moves: 225, simBits: 0x3f9371721e859b17},
+		hash: 0x7d5585579207eeb4, cut: 6517, moves: 214, simBits: 0x3f8f0f83f053d437},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 64, p: 4, scheme: prefine.Reservation,
-		hash: 0xf9ae6201ff683b93, cut: 6229, moves: 82, simBits: 0x3f905aa7965c7858},
+		hash: 0x9cda84c250206a03, cut: 5984, moves: 176, simBits: 0x3f91dae1bf4b7aa1},
 	{mesh: "mrng1t", typ: 2, m: 3, k: 64, p: 16, scheme: prefine.Reservation,
-		hash: 0xa0385cf258a2ab9f, cut: 13690, moves: 86, simBits: 0x3f906a14cf4d8e22},
+		hash: 0x9949f60df26b0848, cut: 13811, moves: 104, simBits: 0x3f959eac35d006f8},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 8, p: 16, scheme: prefine.Reservation,
-		hash: 0x418b52f972f67eb4, cut: 2087, moves: 40, simBits: 0x3f8d4337b300bb07},
+		hash: 0x39c88842d259f55, cut: 2089, moves: 40, simBits: 0x3f8959fa99cffa6c},
 	{mesh: "mrng1t", typ: 1, m: 5, k: 64, p: 16, scheme: prefine.Reservation,
-		hash: 0xc215f6a46a5bccaf, cut: 7284, moves: 120, simBits: 0x3fa7344666685564},
+		hash: 0x8f6d158b851e6332, cut: 7191, moves: 100, simBits: 0x3fa31f7386e21154},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 8, p: 4, scheme: prefine.Slice,
-		hash: 0x38c11e9e0698bba5, cut: 2072, moves: 64, simBits: 0x3f87a26660a0ee60},
+		hash: 0x653ad72734ed8693, cut: 2137, moves: 86, simBits: 0x3f8412cd658d9e3e},
 	{mesh: "mrng1t", typ: 2, m: 3, k: 8, p: 16, scheme: prefine.Slice,
-		hash: 0xa4391895ab427c17, cut: 5123, moves: 7, simBits: 0x3f86a0216fa7b2d0},
+		hash: 0x3b95e284fa826a05, cut: 5143, moves: 24, simBits: 0x3f86f0dae2d3e408},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 8, p: 4, scheme: prefine.SliceSmart,
-		hash: 0x8d84c70d16a4065, cut: 2326, moves: 99, simBits: 0x3f8eeccbd37a265b},
+		hash: 0x6650545e747dda0, cut: 2286, moves: 91, simBits: 0x3f87ebf90b39dcfa},
 	{mesh: "mrng1t", typ: 2, m: 5, k: 8, p: 16, scheme: prefine.SliceSmart,
-		hash: 0xf8fa69dc46da88e1, cut: 7298, moves: 97, simBits: 0x3f8a64622bf96b03},
+		hash: 0x212ace46c9ef5ee1, cut: 7646, moves: 26, simBits: 0x3f86c41b74e6e1eb},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 8, p: 4, scheme: prefine.Free,
-		hash: 0xa67a8caecf641265, cut: 2098, moves: 119, simBits: 0x3f83b9e573ca988e},
+		hash: 0x7b116afd6af7d030, cut: 2132, moves: 622, simBits: 0x3f95f05800edc7b9},
 	{mesh: "mrng1t", typ: 2, m: 3, k: 64, p: 4, scheme: prefine.Free,
-		hash: 0x30377fc7c5ed412, cut: 14168, moves: 8456, simBits: 0x3fb3c35a65daae09},
+		hash: 0xda0f190a1d42b896, cut: 14687, moves: 10169, simBits: 0x3fb3be557dc559af},
 	{mesh: "mrng1t", typ: 1, m: 3, k: 8, p: 4, scheme: prefine.Reservation, dirf: true,
-		hash: 0xbafca8ee1d288f35, cut: 2109, moves: 107, simBits: 0x3f89ee1af9763b22},
+		hash: 0xda5dac9e3e3d51e5, cut: 2089, moves: 83, simBits: 0x3f8803f6262ee02c},
 	{mesh: "mrng1t", typ: 2, m: 5, k: 8, p: 16, scheme: prefine.Reservation, dirf: true,
-		hash: 0x681017c9061d8a3, cut: 7159, moves: 109, simBits: 0x3f9423306ceb76e9},
+		hash: 0x82bfd795adbc2d71, cut: 6724, moves: 137, simBits: 0x3f9894602e44e013},
 	{mesh: "mrng1t", typ: 1, m: 1, k: 64, p: 16, scheme: prefine.Slice, dirf: true,
-		hash: 0x8492ab886751838f, cut: 4429, moves: 12, simBits: 0x3f9385ced04bf705},
+		hash: 0xfa07dad15a2d2f21, cut: 4464, moves: 13, simBits: 0x3f93e5615d00fbb5},
 	{mesh: "mrng1t", typ: 2, m: 3, k: 8, p: 4, scheme: prefine.Free, dirf: true,
-		hash: 0xc7977f7c570e0631, cut: 4779, moves: 1243, simBits: 0x3f95dba1991ad846},
+		hash: 0x29faeb3d25bc7766, cut: 4448, moves: 1184, simBits: 0x3f96060df5b1d475},
 	{mesh: "mrng2t", typ: 1, m: 1, k: 8, p: 4, scheme: prefine.Reservation,
-		hash: 0x961f007af8c6c506, cut: 3965, moves: 406, simBits: 0x3fa2fffbe64f5bad},
+		hash: 0x9280787c94515735, cut: 4017, moves: 442, simBits: 0x3fa40e0f246fa7d6},
 	{mesh: "mrng2t", typ: 1, m: 3, k: 64, p: 16, scheme: prefine.Reservation,
-		hash: 0x4a128ccdce233808, cut: 16359, moves: 635, simBits: 0x3fa49dcddbc085d3},
+		hash: 0x674763b7738b73aa, cut: 16537, moves: 770, simBits: 0x3fa4c54afa03a4d4},
 	{mesh: "mrng2t", typ: 2, m: 3, k: 64, p: 16, scheme: prefine.Reservation,
-		hash: 0xa1589ffbac106f02, cut: 34631, moves: 860, simBits: 0x3fa33fe6e8047574},
+		hash: 0xa7442f9e3c31535a, cut: 34873, moves: 1034, simBits: 0x3fa352c51489b471},
 	{mesh: "mrng2t", typ: 2, m: 5, k: 8, p: 16, scheme: prefine.Reservation,
-		hash: 0x87c79504452ddfe3, cut: 15311, moves: 763, simBits: 0x3faa175a94bff923},
+		hash: 0xbe5d7fa89debaa32, cut: 15890, moves: 793, simBits: 0x3fb0182a607f3087},
 	{mesh: "mrng2t", typ: 2, m: 5, k: 64, p: 4, scheme: prefine.Reservation,
-		hash: 0x2e15d113a54ad965, cut: 50613, moves: 1701, simBits: 0x3fbb5aa8ba6b42f4},
+		hash: 0x515a0d49a09fd1fc, cut: 49209, moves: 2062, simBits: 0x3fb87f09395377c1},
 	{mesh: "mrng2t", typ: 1, m: 5, k: 64, p: 4, scheme: prefine.SliceSmart,
-		hash: 0xe02e3f7831b59f7e, cut: 21469, moves: 716, simBits: 0x3fbd73d79693fb90},
+		hash: 0xbb4161c07970eb8b, cut: 20820, moves: 576, simBits: 0x3fb740ba062afa52},
 	{mesh: "mrng2t", typ: 2, m: 1, k: 64, p: 16, scheme: prefine.Slice,
-		hash: 0xabd69065b3a2ad9, cut: 12505, moves: 359, simBits: 0x3f96cd3adf38afe7},
+		hash: 0x8a9f75bffe86df22, cut: 12308, moves: 451, simBits: 0x3f97d56dd0d6003f},
 	{mesh: "mrng2t", typ: 1, m: 3, k: 8, p: 16, scheme: prefine.Free,
-		hash: 0x4a246362c0238f6, cut: 7195, moves: 17267, simBits: 0x3fae91cdb1f4e63a},
+		hash: 0xb1d6150227804b87, cut: 7402, moves: 16779, simBits: 0x3fa8761355e8d7b8},
 	{mesh: "mrng2t", typ: 2, m: 3, k: 8, p: 4, scheme: prefine.Reservation, dirf: true,
-		hash: 0x5f7bb499a2aacdd1, cut: 10218, moves: 498, simBits: 0x3fb004b9c58074c4},
+		hash: 0x8ecd64a628975132, cut: 10340, moves: 655, simBits: 0x3faea78693c3c711},
 	{mesh: "mrng2t", typ: 1, m: 3, k: 64, p: 16, scheme: prefine.SliceSmart, dirf: true,
-		hash: 0xfd05ca674a820b9, cut: 17260, moves: 272, simBits: 0x3fa30ada4cddc161},
+		hash: 0x4e5d88cd5d2cc8f3, cut: 17478, moves: 299, simBits: 0x3fa4b6685210fe81},
 }
 
 func (c goldenCase) name() string {

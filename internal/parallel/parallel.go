@@ -225,7 +225,7 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 	// the vote machinery entirely, so non-cancellable runs pay no extra
 	// collectives and their simulated times are unchanged.
 	// local is the rank's own check, for pinit, whose work between
-	// collectives is one rank's serial partitioning of the gathered graph.
+	// collectives is one rank's bisection trials on the gathered graph.
 	var stop, local func() bool
 	if ctx.Done() != nil {
 		stop = func() bool { return c.AgreeAbort(ctx.Err() != nil) }
@@ -285,7 +285,7 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 			trace.I64("coarsest_global_n", int64(coarsest.GlobalN())),
 			trace.I64("k", int64(k)))
 	}
-	partAll, initCut := pinit.Partition(coarsest, k, rand, pinit.Options{
+	partAll, ist := pinit.Partition(coarsest, k, rand, pinit.Options{
 		Tol:          opt.Tol,
 		Trials:       opt.InitTrials,
 		Passes:       opt.InitPasses,
@@ -293,7 +293,10 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 		Stop:         local,
 	})
 	if rk != nil {
-		rk.End(trace.I64("cut", initCut))
+		rk.End(
+			trace.I64("cut", ist.Cut),
+			trace.I64("bisections", int64(ist.Bisections)),
+			trace.I64("trials", int64(ist.Trials)))
 		emitCommCounters(rk, c)
 	}
 	first := coarsest.First()
@@ -367,7 +370,7 @@ func spmdBody(ctx context.Context, c *mpi.Comm, g *graph.Graph, k int, opt Optio
 		part:       full,
 		levels:     len(levels),
 		coarsestN:  coarsest.GlobalN(),
-		initCut:    initCut,
+		initCut:    ist.Cut,
 		localMoves: moves,
 	}
 }

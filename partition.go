@@ -152,8 +152,9 @@ func T3EModel() CostModel { return mpi.T3E() }
 
 // Parallel computes a k-way multi-constraint partitioning on p simulated
 // processors (goroutines) using the Euro-Par 2000 parallel formulation:
-// coarse-grain parallel matching, parallel contraction, best-of-p initial
-// partitionings, and reservation-based parallel multi-constraint
+// coarse-grain parallel matching, parallel contraction, initial
+// partitioning by one recursive bisection on rank groups with a best-of-p
+// refinement vote, and reservation-based parallel multi-constraint
 // refinement.
 func Parallel(g *Graph, k, p int, opt ParallelOptions) ([]int32, ParallelStats, error) {
 	return parallel.Partition(g, k, p, opt)

@@ -90,11 +90,14 @@ func TestPartitionCtxDeadlineMidRun(t *testing.T) {
 
 // TestPartitionCtxDeadlineInInit: on mrng2s at p=64 every rank's block is
 // thinner than a mesh layer, coarsening stops after one level, and the
-// run spends its time in pinit, where each rank partitions the gathered
-// graph on its own (ROADMAP, the high-p collapse). Without a stop hook
-// there a 300 ms deadline ended the run only after about 20 s, when every
-// rank had finished; pinit now polls the deadline between bisection
-// trials and FM passes, and the next collective vote ends the run.
+// run spends its time in pinit, where the ranks bisect the gathered
+// graph, the whole input, on rank groups and each refines it k-way
+// (ROADMAP, the high-p collapse). Without a stop hook there a 300 ms
+// deadline ended the run only once pinit had finished: after about 20 s
+// while each rank bisected the whole graph alone, after about 6 s since
+// the ranks share the bisection. pinit polls the deadline between
+// bisection trials and FM passes, at the shared nodes as in each rank's
+// own subtree, and the next collective vote ends the run.
 func TestPartitionCtxDeadlineInInit(t *testing.T) {
 	spec, _ := gen.MeshByName("mrng2s")
 	g := gen.Type1(spec.Build(1*7919+7), 1, 101)

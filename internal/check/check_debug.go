@@ -3,6 +3,7 @@
 package check
 
 import (
+	"repro/internal/gaincache"
 	"repro/internal/graph"
 )
 
@@ -40,21 +41,11 @@ func ClusterCaps(where string, g *graph.Graph, cmap []int32, nc int, caps []int6
 	}
 }
 
-// GainCache panics if the boundary refiner's incremental id/ed/nfr tables,
-// its boundary count or its candidate gate and count disagree with a
-// from-scratch re-derivation, if its row bound is below a vertex's
-// heaviest gain row, or if a nonzero rejection mask misses a subdomain
-// whose row reaches the vertex's internal degree.
-func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr []int32, boundary int, rej []uint64, gate []bool, candidates int) {
-	if err := VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err != nil {
-		panic("mcdebug: " + where + ": " + err.Error())
-	}
-}
-
-// DegreeCache panics if the parallel refiner's per-rank id/ed/nfr cache
-// disagrees with a re-derivation from the owned and ghost labels.
-func DegreeCache(where string, xadj, adjncy, adjwgt, part, ghostPart []int32, id, ed []int64, nfr []int32) {
-	if err := VerifyDegreeCache(xadj, adjncy, adjwgt, part, ghostPart, id, ed, nfr); err != nil {
+// Boundary panics if a refiner's boundary state (degrees, row bounds,
+// boundary count and, for the serial refiner, its candidate gate, count and
+// rejection masks) disagrees with a re-derivation from its CSR and labels.
+func Boundary(where string, s *gaincache.State, rej []uint64, gate []bool, candidates int) {
+	if err := VerifyBoundary(s, rej, gate, candidates); err != nil {
 		panic("mcdebug: " + where + ": " + err.Error())
 	}
 }

@@ -3,6 +3,7 @@
 package check
 
 import (
+	"repro/internal/gaincache"
 	"repro/internal/graph"
 )
 
@@ -23,13 +24,8 @@ func Matching(where string, g *graph.Graph, match []int32, maxW int64) {}
 // ClusterCaps is a no-op without the mcdebug build tag.
 func ClusterCaps(where string, g *graph.Graph, cmap []int32, nc int, caps []int64) {}
 
-// GainCache is a no-op without the mcdebug build tag.
-func GainCache(where string, g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr []int32, boundary int, rej []uint64, gate []bool, candidates int) {
-}
-
-// DegreeCache is a no-op without the mcdebug build tag.
-func DegreeCache(where string, xadj, adjncy, adjwgt, part, ghostPart []int32, id, ed []int64, nfr []int32) {
-}
+// Boundary is a no-op without the mcdebug build tag.
+func Boundary(where string, s *gaincache.State, rej []uint64, gate []bool, candidates int) {}
 
 // Partition is a no-op without the mcdebug build tag.
 func Partition(where string, g *graph.Graph, part []int32, k int, wantCut int64, wantPwgts []int64) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/coarsen"
+	"repro/internal/gaincache"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -202,12 +203,39 @@ func TestVerifyMatchingCatches(t *testing.T) {
 	}
 }
 
-// TestVerifyGainCacheGate derives consistent gain-cache tables for a round-
-// robin partition, with each vertex's row bound at its external degree and
-// a rejection mask on some boundary vertices, then checks that a flipped
-// candidate gate, a wrong candidate count, a wrong boundary count, a row
-// bound below the heaviest row, one above the external degree, and a stale
-// mask that misses a row reaching the internal degree are each caught.
+// ownedState derives, by its own scan, the boundary state of a refiner
+// that owns the first nlocal vertices of g. An adjacency entry u >= nlocal
+// is the ghost in slot u-nlocal, so the whole graph's labels are already
+// owned-then-ghost. Each row bound is set to its vertex's external degree.
+func ownedState(g *graph.Graph, nlocal int, labels []int32) *gaincache.State {
+	s := &gaincache.State{
+		Xadj: g.Xadj[:nlocal+1], Adjncy: g.Adjncy, Adjwgt: g.Adjwgt, Labels: labels,
+		ID: make([]int64, nlocal), ED: make([]int64, nlocal), Nfr: make([]int32, nlocal),
+	}
+	for v := 0; v < nlocal; v++ {
+		for e := g.Xadj[v]; e < g.Xadj[v+1]; e++ {
+			if labels[g.Adjncy[e]] == labels[v] {
+				s.ID[v] += int64(g.Adjwgt[e])
+			} else {
+				s.ED[v] += int64(g.Adjwgt[e])
+				s.Nfr[v]++
+			}
+		}
+		if s.Nfr[v] > 0 {
+			s.Boundary++
+		}
+	}
+	s.MaxRow = append([]int64(nil), s.ED...)
+	return s
+}
+
+// TestVerifyGainCacheGate derives a consistent serial boundary state (no
+// ghosts) for a round-robin partition, with each vertex's row bound at its
+// external degree, the candidate gates and a rejection mask on some
+// boundary vertices, then checks that a flipped candidate gate, a wrong
+// candidate count, a wrong boundary count, a row bound below the heaviest
+// row, one above the external degree, and a stale mask that misses a row
+// reaching the internal degree are each caught.
 func TestVerifyGainCacheGate(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
@@ -215,32 +243,24 @@ func TestVerifyGainCacheGate(t *testing.T) {
 	for v := range part {
 		part[v] = int32(v % 4)
 	}
-	id, ed := make([]int64, n), make([]int64, n)
-	nfr := make([]int32, n)
+	st := ownedState(g, n, part)
 	rej := make([]uint64, n)
 	gate := make([]bool, n)
-	boundary, candidates := 0, 0
+	candidates := 0
 	masked := int32(-1) // a vertex whose mask holds exactly the rows reaching id
 	for v := int32(0); int(v) < n; v++ {
 		rows := make(map[int32]int64)
 		adj, wgt := g.Neighbors(v)
 		for i, u := range adj {
-			if part[u] == part[v] {
-				id[v] += int64(wgt[i])
-			} else {
-				ed[v] += int64(wgt[i])
-				nfr[v]++
+			if part[u] != part[v] {
 				rows[part[u]] += int64(wgt[i])
 			}
 		}
-		if nfr[v] > 0 {
-			boundary++
-		}
-		if gate[v] = nfr[v] > 0 && ed[v] >= id[v]; gate[v] {
+		if gate[v] = st.Nfr[v] > 0 && st.MaxRow[v] >= st.ID[v]; gate[v] {
 			candidates++
 		}
 		for _, u := range adj {
-			if b := part[u]; b != part[v] && rows[b] >= id[v] {
+			if b := part[u]; b != part[v] && rows[b] >= st.ID[v] {
 				rej[v] |= 1 << b
 			}
 		}
@@ -251,29 +271,31 @@ func TestVerifyGainCacheGate(t *testing.T) {
 	if masked < 0 {
 		t.Fatal("no vertex has a row reaching its internal degree")
 	}
-	maxRow := append([]int64(nil), ed...)
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err != nil {
+	if err := check.VerifyBoundary(st, rej, gate, candidates); err != nil {
 		t.Fatalf("consistent tables rejected: %v", err)
 	}
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates+1); err == nil ||
+	if err := check.VerifyBoundary(st, rej, gate, candidates+1); err == nil ||
 		!strings.Contains(err.Error(), "candidate count") {
 		t.Errorf("wrong candidate count: got %v", err)
 	}
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary-1, rej, gate, candidates); err == nil ||
+	st.Boundary--
+	if err := check.VerifyBoundary(st, rej, gate, candidates); err == nil ||
 		!strings.Contains(err.Error(), "boundary count") {
 		t.Errorf("wrong boundary count: got %v", err)
 	}
+	st.Boundary++
 	v := masked
-	for _, bound := range []int64{0, ed[v] + 1} {
-		maxRow[v] = bound
-		if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err == nil ||
+	ed := st.ED[v]
+	for _, bound := range []int64{0, ed + 1} {
+		st.MaxRow[v] = bound
+		if err := check.VerifyBoundary(st, rej, gate, candidates); err == nil ||
 			!strings.Contains(err.Error(), "row bound") {
-			t.Errorf("row bound %d (ed %d): got %v", bound, ed[v], err)
+			t.Errorf("row bound %d (ed %d): got %v", bound, ed, err)
 		}
 	}
-	maxRow[v] = ed[v]
+	st.MaxRow[v] = ed
 	gate[v] = !gate[v]
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err == nil ||
+	if err := check.VerifyBoundary(st, rej, gate, candidates); err == nil ||
 		!strings.Contains(err.Error(), "candidate gate") {
 		t.Errorf("flipped gate: got %v", err)
 	}
@@ -286,20 +308,22 @@ func TestVerifyGainCacheGate(t *testing.T) {
 	if rej[v]&low != 0 {
 		t.Fatalf("mask %#x still holds the dropped bit %#x", rej[v], low)
 	}
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err == nil ||
+	if err := check.VerifyBoundary(st, rej, gate, candidates); err == nil ||
 		!strings.Contains(err.Error(), "rejection mask") {
 		t.Errorf("stale mask %#x (rows reaching id %#x): got %v", rej[v], full, err)
 	}
 	rej[v] = 0
-	if err := check.VerifyGainCache(g, part, id, ed, maxRow, nfr, boundary, rej, gate, candidates); err != nil {
+	if err := check.VerifyBoundary(st, rej, gate, candidates); err != nil {
 		t.Errorf("zero mask rejected: %v", err)
 	}
 }
 
-// TestVerifyDegreeCache derives a consistent parallel-refiner degree cache
-// for one simulated rank that owns the first half of a graph's vertices
-// (adjacency entries into the second half act as ghosts), then checks that
-// a corrupted entry and a stale ghost label are each caught.
+// TestVerifyDegreeCache derives a consistent boundary state for one
+// simulated rank that owns the first half of a graph's vertices (adjacency
+// entries into the second half act as ghosts) and checks it without gates,
+// as the parallel refiner does. A corrupted entry, a stale ghost label, and
+// a row bound below a row that only ghost neighbors make up are each
+// caught.
 func TestVerifyDegreeCache(t *testing.T) {
 	g := testGraph(t)
 	nlocal := g.NumVertices() / 2
@@ -307,46 +331,54 @@ func TestVerifyDegreeCache(t *testing.T) {
 	for v := range labels {
 		labels[v] = int32(v % 4)
 	}
-	part, ghostPart := labels[:nlocal], append([]int32(nil), labels[nlocal:]...)
-	xadj := g.Xadj[:nlocal+1]
-	id, ed := make([]int64, nlocal), make([]int64, nlocal)
-	nfr := make([]int32, nlocal)
-	for v := 0; v < nlocal; v++ {
-		for e := xadj[v]; e < xadj[v+1]; e++ {
-			if labels[g.Adjncy[e]] == part[v] {
-				id[v] += int64(g.Adjwgt[e])
-			} else {
-				ed[v] += int64(g.Adjwgt[e])
-				nfr[v]++
-			}
-		}
+	st := ownedState(g, nlocal, labels)
+	if err := check.VerifyBoundary(st, nil, nil, 0); err != nil {
+		t.Fatalf("consistent state rejected: %v", err)
 	}
-	if err := check.VerifyDegreeCache(xadj, g.Adjncy, g.Adjwgt, part, ghostPart, id, ed, nfr); err != nil {
-		t.Fatalf("consistent cache rejected: %v", err)
-	}
-	ed[nlocal/3]++
-	if err := check.VerifyDegreeCache(xadj, g.Adjncy, g.Adjwgt, part, ghostPart, id, ed, nfr); err == nil ||
-		!strings.Contains(err.Error(), fmt.Sprintf("owned vertex %d ", nlocal/3)) {
+	st.ED[nlocal/3]++
+	if err := check.VerifyBoundary(st, nil, nil, 0); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("ed[%d] ", nlocal/3)) {
 		t.Errorf("corrupted ed: got %v", err)
 	}
-	ed[nlocal/3]--
+	st.ED[nlocal/3]--
 	// Relabel a ghost neighbor of some owned vertex v across v's own
 	// label without applying the change to v's entry.
+	ghosts := labels[nlocal:]
 relabel:
 	for v := 0; v < nlocal; v++ {
-		for e := xadj[v]; e < xadj[v+1]; e++ {
+		for e := g.Xadj[v]; e < g.Xadj[v+1]; e++ {
 			if slot := int(g.Adjncy[e]) - nlocal; slot >= 0 {
-				if ghostPart[slot] == part[v] {
-					ghostPart[slot] = (part[v] + 1) % 4
+				if ghosts[slot] == labels[v] {
+					ghosts[slot] = (labels[v] + 1) % 4
 				} else {
-					ghostPart[slot] = part[v]
+					ghosts[slot] = labels[v]
 				}
 				break relabel
 			}
 		}
 	}
-	if err := check.VerifyDegreeCache(xadj, g.Adjncy, g.Adjwgt, part, ghostPart, id, ed, nfr); err == nil ||
+	if err := check.VerifyBoundary(st, nil, nil, 0); err == nil ||
 		!strings.Contains(err.Error(), "scratch re-derivation") {
 		t.Errorf("stale ghost label: got %v", err)
+	}
+
+	// The owned vertices in subdomain 0 and the ghosts in 1: a boundary
+	// vertex's one row is made of ghosts alone, so a bound of 0 is below it
+	// but at least every row of owned neighbors.
+	for v := range labels {
+		labels[v] = int32(v / nlocal)
+	}
+	st = ownedState(g, nlocal, labels)
+	v := 0
+	for v < nlocal && st.ED[v] == 0 {
+		v++
+	}
+	if v == nlocal {
+		t.Fatal("no owned vertex has a ghost neighbor")
+	}
+	st.MaxRow[v] = 0
+	if err := check.VerifyBoundary(st, nil, nil, 0); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("vertex %d row bound 0 ", v)) {
+		t.Errorf("row bound below a ghost-only row: got %v", err)
 	}
 }

@@ -19,6 +19,7 @@ package check
 import (
 	"fmt"
 
+	"repro/internal/gaincache"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
@@ -174,58 +175,66 @@ func VerifyClusterCaps(g *graph.Graph, cmap []int32, nc int, caps []int64) error
 	return nil
 }
 
-// VerifyGainCache checks the boundary refiner's incrementally maintained
-// tables against a from-scratch re-derivation: for every vertex, id/ed must
-// equal the summed edge weight to same-/other-subdomain neighbors and nfr
-// the foreign-neighbor count, and boundary must count the vertices with
-// nfr > 0. The row bound maxRow must be sound, at least the heaviest
-// per-subdomain row a scan derives, and at most ed. The candidate gate must
-// be set exactly for the boundary vertices with maxRow >= id, and
-// candidates must count them. A nonzero rejection mask rej[v] must have
-// bit b&63 set for every subdomain b whose row reaches id[v].
-func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr []int32, boundary int, rej []uint64, gate []bool, candidates int) error {
-	n := g.NumVertices()
-	if len(id) != n || len(ed) != n || len(maxRow) != n || len(nfr) != n || len(rej) != n || len(gate) != n {
-		return fmt.Errorf("check: gain-cache table lengths %d/%d/%d/%d/%d/%d, want %d",
-			len(id), len(ed), len(maxRow), len(nfr), len(rej), len(gate), n)
+// VerifyBoundary checks a refiner's boundary state against a from-scratch
+// re-derivation from its CSR and its labels, owned vertices first and
+// ghosts after them. For every owned vertex, id/ed must equal the summed
+// edge weight to same-/other-subdomain neighbors and nfr the foreign-neighbor
+// count, and the boundary count must count the vertices with nfr > 0. The
+// row bound maxRow must be sound: at least the heaviest per-subdomain row a
+// scan derives, ghost neighbors included, and at most ed. When gate is
+// non-nil, the serial refiner's candidate gate must be set exactly for the
+// boundary vertices with maxRow >= id, candidates must count them, and a
+// nonzero rejection mask rej[v] must have bit b&63 set for every subdomain b
+// whose row reaches id[v].
+func VerifyBoundary(s *gaincache.State, rej []uint64, gate []bool, candidates int) error {
+	n := len(s.Xadj) - 1
+	if len(s.ID) != n || len(s.ED) != n || len(s.MaxRow) != n || len(s.Nfr) != n || len(s.Labels) < n {
+		return fmt.Errorf("check: boundary-state lengths id %d, ed %d, maxRow %d, nfr %d, labels %d, want %d owned vertices",
+			len(s.ID), len(s.ED), len(s.MaxRow), len(s.Nfr), len(s.Labels), n)
+	}
+	if gate != nil && (len(gate) != n || len(rej) != n) {
+		return fmt.Errorf("check: gate and mask lengths %d/%d, want %d", len(gate), len(rej), n)
 	}
 	gated, onBoundary := 0, 0
 	rows := map[int32]int64{}
-	for v := int32(0); int(v) < n; v++ {
-		a := part[v]
+	for v := 0; v < n; v++ {
+		a := s.Labels[v]
 		var wantID, wantED, heaviest int64
 		wantNfr := int32(0)
 		clear(rows)
-		adj, wgt := g.Neighbors(v)
-		for i, u := range adj {
-			if part[u] == a {
-				wantID += int64(wgt[i])
+		for e := s.Xadj[v]; e < s.Xadj[v+1]; e++ {
+			w := int64(s.Adjwgt[e])
+			if b := s.Labels[s.Adjncy[e]]; b == a {
+				wantID += w
 			} else {
-				wantED += int64(wgt[i])
+				wantED += w
 				wantNfr++
-				rows[part[u]] += int64(wgt[i])
-				heaviest = max(heaviest, rows[part[u]])
+				rows[b] += w
+				heaviest = max(heaviest, rows[b])
 			}
 		}
-		if id[v] != wantID {
-			return fmt.Errorf("check: cached id[%d] = %d, scratch re-derivation %d", v, id[v], wantID)
+		if s.ID[v] != wantID {
+			return fmt.Errorf("check: cached id[%d] = %d, scratch re-derivation %d", v, s.ID[v], wantID)
 		}
-		if ed[v] != wantED {
-			return fmt.Errorf("check: cached ed[%d] = %d, scratch re-derivation %d", v, ed[v], wantED)
+		if s.ED[v] != wantED {
+			return fmt.Errorf("check: cached ed[%d] = %d, scratch re-derivation %d", v, s.ED[v], wantED)
 		}
-		if nfr[v] != wantNfr {
-			return fmt.Errorf("check: cached nfr[%d] = %d, scratch re-derivation %d", v, nfr[v], wantNfr)
+		if s.Nfr[v] != wantNfr {
+			return fmt.Errorf("check: cached nfr[%d] = %d, scratch re-derivation %d", v, s.Nfr[v], wantNfr)
 		}
 		if wantNfr > 0 {
 			onBoundary++
 		}
-		if maxRow[v] < heaviest || maxRow[v] > wantED {
+		if s.MaxRow[v] < heaviest || s.MaxRow[v] > wantED {
 			return fmt.Errorf("check: vertex %d row bound %d outside [heaviest row %d, ed %d]",
-				v, maxRow[v], heaviest, wantED)
+				v, s.MaxRow[v], heaviest, wantED)
 		}
-		if want := wantNfr > 0 && maxRow[v] >= wantID; gate[v] != want {
+		if gate == nil {
+			continue
+		}
+		if want := wantNfr > 0 && s.MaxRow[v] >= wantID; gate[v] != want {
 			return fmt.Errorf("check: vertex %d candidate gate %v, scratch re-derivation %v (nfr %d, row bound %d, id %d)",
-				v, gate[v], want, wantNfr, maxRow[v], wantID)
+				v, gate[v], want, wantNfr, s.MaxRow[v], wantID)
 		}
 		if gate[v] {
 			gated++
@@ -233,58 +242,18 @@ func VerifyGainCache(g *graph.Graph, part []int32, id, ed, maxRow []int64, nfr [
 		if rej[v] == 0 {
 			continue
 		}
-		for _, u := range adj {
-			if b := part[u]; b != a && rows[b] >= wantID && rej[v]&(1<<(b&63)) == 0 {
+		for e := s.Xadj[v]; e < s.Xadj[v+1]; e++ {
+			if b := s.Labels[s.Adjncy[e]]; b != a && rows[b] >= wantID && rej[v]&(1<<(b&63)) == 0 {
 				return fmt.Errorf("check: vertex %d rejection mask %#x misses subdomain %d, whose row %d reaches id %d",
 					v, rej[v], b, rows[b], wantID)
 			}
 		}
 	}
-	if boundary != onBoundary {
-		return fmt.Errorf("check: running boundary count %d, scratch recount %d", boundary, onBoundary)
+	if s.Boundary != onBoundary {
+		return fmt.Errorf("check: running boundary count %d, scratch recount %d", s.Boundary, onBoundary)
 	}
-	if candidates != gated {
+	if gate != nil && candidates != gated {
 		return fmt.Errorf("check: running candidate count %d, scratch recount %d", candidates, gated)
-	}
-	return nil
-}
-
-// VerifyDegreeCache checks the parallel refiner's per-rank degree cache
-// against a from-scratch re-derivation. The rank owns the nlocal =
-// len(xadj)-1 vertices of the local CSR xadj/adjncy/adjwgt; an adjacency
-// entry u below nlocal is an owned vertex labelled part[u], any other
-// entry is the ghost labelled ghostPart[u-nlocal]. For every owned
-// vertex, id/ed must equal the summed edge weight to same-/other-subdomain
-// neighbors and nfr the count of other-subdomain neighbors.
-func VerifyDegreeCache(xadj, adjncy, adjwgt, part, ghostPart []int32, id, ed []int64, nfr []int32) error {
-	nlocal := len(xadj) - 1
-	if len(part) != nlocal || len(id) != nlocal || len(ed) != nlocal || len(nfr) != nlocal {
-		return fmt.Errorf("check: degree-cache lengths part %d, id %d, ed %d, nfr %d, want %d",
-			len(part), len(id), len(ed), len(nfr), nlocal)
-	}
-	for v := 0; v < nlocal; v++ {
-		a := part[v]
-		var wantID, wantED int64
-		wantNfr := int32(0)
-		for e := xadj[v]; e < xadj[v+1]; e++ {
-			u := int(adjncy[e])
-			var b int32
-			if u < nlocal {
-				b = part[u]
-			} else {
-				b = ghostPart[u-nlocal]
-			}
-			if b == a {
-				wantID += int64(adjwgt[e])
-			} else {
-				wantED += int64(adjwgt[e])
-				wantNfr++
-			}
-		}
-		if id[v] != wantID || ed[v] != wantED || nfr[v] != wantNfr {
-			return fmt.Errorf("check: owned vertex %d cached id/ed/nfr %d/%d/%d, scratch re-derivation %d/%d/%d",
-				v, id[v], ed[v], nfr[v], wantID, wantED, wantNfr)
-		}
 	}
 	return nil
 }

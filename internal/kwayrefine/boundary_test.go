@@ -27,20 +27,14 @@ import (
 // runBoth refines two copies of part with the production refiner and the
 // full-scan reference under identical options and RNG streams, and fails
 // the test on any divergence.
-func runBoth(t *testing.T, tag string, g *graph.Graph, part []int32, k, passes int, seed uint64, balance bool) {
+func runBoth(t *testing.T, tag string, g *graph.Graph, part []int32, k, passes int, seed uint64) {
 	t.Helper()
 	partA := append([]int32(nil), part...)
 	partB := append([]int32(nil), part...)
 	refA := NewRefiner(k, g.Ncon, Options{Tol: 0.05, Passes: passes})
 	refB := newReference(k, g.Ncon, Options{Tol: 0.05, Passes: passes})
-	var mvA, mvB int
-	if balance {
-		mvA = refA.Balance(g, partA, rng.New(seed))
-		mvB = refB.Balance(g, partB, rng.New(seed))
-	} else {
-		mvA = refA.Refine(g, partA, rng.New(seed))
-		mvB = refB.Refine(g, partB, rng.New(seed))
-	}
+	mvA := refA.Refine(g, partA, rng.New(seed))
+	mvB := refB.Refine(g, partB, rng.New(seed))
 	if mvA != mvB {
 		t.Errorf("%s: moves diverge: refiner %d, reference %d", tag, mvA, mvB)
 	}
@@ -135,7 +129,7 @@ func TestBoundaryDrivenMatchesReference(t *testing.T) {
 			for _, seed := range []uint64{3, 101} {
 				for _, passes := range []int{1, 8} {
 					tag := fmt.Sprintf("%s k=%d%s seed=%d passes=%d", p.name, p.k, start.name, seed, passes)
-					runBoth(t, tag, p.g, start.part, p.k, passes, seed, false)
+					runBoth(t, tag, p.g, start.part, p.k, passes, seed)
 				}
 			}
 		}
@@ -187,9 +181,10 @@ func TestGreedyPassSkipsRejected(t *testing.T) {
 	}
 }
 
-// TestBoundaryBalanceMatchesReference pins Balance on a skewed partition,
-// which exercises the balance pass's interior-vertex path (cached id plus
-// an O(1) empty gather; interior vertices stay eligible for balance moves).
+// TestBoundaryBalanceMatchesReference pins Refine at 12 passes on a skewed
+// partition, whose balance passes exercise the interior-vertex path (cached
+// id plus an O(1) empty gather; interior vertices stay eligible for balance
+// moves).
 func TestBoundaryBalanceMatchesReference(t *testing.T) {
 	base := gen.MRNGLike(10, 10, 10, 5)
 	for _, m := range []int{1, 3} {
@@ -202,7 +197,7 @@ func TestBoundaryBalanceMatchesReference(t *testing.T) {
 			t.Fatalf("m=%d: injection too weak: %.3f", m, imb)
 		}
 		tag := fmt.Sprintf("balance m=%d", m)
-		runBoth(t, tag, g, part, 8, 12, 3, true)
+		runBoth(t, tag, g, part, 8, 12, 3)
 	}
 }
 

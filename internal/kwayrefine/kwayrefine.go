@@ -6,22 +6,20 @@
 // that accepts cut-increasing moves to drain overweight subdomains.
 //
 // Refinement is boundary-driven, as the paper describes ("the vertices that
-// are on the boundary of the partition are visited"): the refiner keeps
-// per-vertex internal/external edge-weight tables (the gain cache) and a
-// count of the boundary vertices they induce, seeded by one O(m) scan in
-// setup and updated incrementally — only the moved vertex and its
-// neighbors — on every move. The cache also keeps maxRow, an upper bound on
-// each vertex's heaviest gain row (edge weight toward one foreign
-// subdomain), and a one-byte candidate gate per vertex, set for boundary
-// vertices with maxRow >= id: a vertex whose every row is below its
-// internal degree has no move with gain >= 0. A candidate that was
-// evaluated and stayed keeps a rejection mask of the subdomains whose row
-// may reach its internal degree, so its next visit skips the adjacency scan
-// unless one of them can take it. A greedy pass therefore costs O(n) for
-// the random permutation plus O(degree) per candidate it gathers. All
-// tables are O(n); no per-edge state is kept. The refiner is pinned
-// bit-identical to a full-scan reference kept in reference_test.go (see
-// DESIGN.md, "Boundary refinement contract").
+// are on the boundary of the partition are visited"): the refiner keeps the
+// boundary state of internal/gaincache (internal and external degrees,
+// foreign-neighbor counts, the row bound maxRow and the boundary count),
+// seeded by one O(m) scan in setup and updated on every move for the moved
+// vertex and its neighbors only. On top of it the serial refiner keeps a
+// one-byte candidate gate per vertex, set for boundary vertices with maxRow
+// >= id: a vertex whose every row is below its internal degree has no move
+// with gain >= 0. A candidate that was evaluated and stayed keeps a
+// rejection mask of the subdomains whose row may reach its internal degree,
+// so its next visit skips the adjacency scan unless one of them can take it.
+// A greedy pass therefore costs O(n) for the random permutation plus
+// O(degree) per candidate it gathers. All tables are O(n); no per-edge state
+// is kept. The refiner is pinned bit-identical to a full-scan reference kept
+// in reference_test.go (see DESIGN.md, "Boundary refinement contract").
 package kwayrefine
 
 import (
@@ -44,9 +42,9 @@ type Options struct {
 	// a local minimum.
 	Passes int
 	// Stop, when non-nil, is polled at every pass boundary; once it
-	// returns true Refine/Balance return early with the moves made so
-	// far. The partitioning is always left in a consistent (if less
-	// refined) state, so cancellation mid-uncoarsening is safe.
+	// returns true Refine returns early with the moves made so far. The
+	// partitioning is always left in a consistent (if less refined) state,
+	// so cancellation mid-uncoarsening is safe.
 	Stop func() bool
 	// Trace, when non-nil, records one "refine.pass" span per refinement
 	// pass (the observability hook; see DESIGN.md, "Observability"),
@@ -73,51 +71,32 @@ func (o Options) withDefaults() Options {
 // no per-edge state; a candidate's gain rows are re-derived by an adjacency
 // scan each time it is evaluated.
 type Refiner struct {
-	k, m  int
-	opt   Options
-	pwgts []int64 // k*m
-	limit []int64 // k*m
-	avg   []float64
-	// cut is seeded from the external-degree table in setup and maintained
+	k, m int
+	opt  Options
+	// st is the boundary state over the whole graph (no ghosts): degrees,
+	// row bounds, boundary count, loads and the gain-row accumulator.
+	st gaincache.State
+	// cut is seeded from the external degrees in setup and maintained
 	// incrementally (each applied move subtracts its gain). Under the
 	// mcdebug build tag check.Partition compares it against a scratch
 	// recomputation after every Refine.
-	cut int64
-	// rows is the per-vertex gain-row accumulator (edge weight toward each
-	// adjacent foreign subdomain), shared structurally with the parallel
-	// refiner via internal/gaincache.
-	rows  *gaincache.Rows
+	cut   int64
 	order []int32
 
-	// The gain cache: per-vertex internal (same-subdomain) and external
-	// edge weight, foreign-neighbor count, and the number of boundary
-	// vertices (nfr > 0) it induces; maxRow[v], an upper bound on v's
-	// heaviest gain row, never above ed[v]; the candidate gate gate[v] =
-	// nfr[v] > 0 && maxRow[v] >= id[v] with its running count; and the
+	// The serial refiner's own tables over st: the candidate gate gate[v]
+	// = nfr[v] > 0 && maxRow[v] >= id[v] with its running count, and the
 	// rejection mask rej[v], zero when unknown, else a superset of the
 	// subdomains whose row reaches id[v] (bit b&63 for subdomain b, so one
-	// bit stands for every subdomain congruent to it when k > 64). Seeded
-	// by setup with one O(m) scan; gatherRows makes maxRow[v] exact, and
-	// apply rewrites only the moved vertex's and its neighbors' entries.
-	id, ed     []int64
-	maxRow     []int64
-	nfr        []int32
+	// bit stands for every subdomain congruent to it when k > 64).
 	rej        []uint64
 	gate       []bool
-	boundary   int
 	candidates int
-	updates    int64 // gain-cache entries rewritten by apply (trace counter)
+	updates    int64 // boundary-state entries rewritten by apply (trace counter)
 }
 
 // NewRefiner creates a refiner for k parts and m constraints.
 func NewRefiner(k, m int, opt Options) *Refiner {
-	return &Refiner{
-		k: k, m: m, opt: opt.withDefaults(),
-		pwgts: make([]int64, k*m),
-		limit: make([]int64, k*m),
-		avg:   make([]float64, m),
-		rows:  gaincache.NewRows(k),
-	}
+	return &Refiner{k: k, m: m, opt: opt.withDefaults(), st: gaincache.NewState(k, m)}
 }
 
 // Reserve grows the per-vertex tables (41 bytes per vertex) to the given
@@ -128,90 +107,49 @@ func (r *Refiner) Reserve(g *graph.Graph) {
 }
 
 func (r *Refiner) grow(n int) {
+	r.st.Reserve(n)
 	if cap(r.order) < n {
 		r.order = make([]int32, 0, n)
-		r.id = make([]int64, 0, n)
-		r.ed = make([]int64, 0, n)
-		r.maxRow = make([]int64, 0, n)
-		r.nfr = make([]int32, 0, n)
 		r.rej = make([]uint64, 0, n)
 		r.gate = make([]bool, 0, n)
 	}
 }
 
-// setup recomputes subdomain weights, averages and limits for g/part, seeds
-// the gain cache (id/ed/nfr and the boundary count) with one scan over the
-// edges, clears every rejection mask, and sizes the per-vertex scratch —
-// the single shared preamble for every entry point (Refine and Balance).
+// setup binds the boundary state to g/part and seeds it (loads, limits,
+// degrees and row bounds), takes the cut from the external degrees, clears
+// every rejection mask and seeds the candidate gates.
 func (r *Refiner) setup(g *graph.Graph, part []int32) {
-	for i := range r.pwgts {
-		r.pwgts[i] = 0
-	}
 	n := g.NumVertices()
-	m := r.m
 	r.grow(n)
 	r.order = r.order[:n]
-	r.id = r.id[:n]
-	r.ed = r.ed[:n]
-	r.maxRow = r.maxRow[:n]
-	r.nfr = r.nfr[:n]
 	r.rej = r.rej[:n]
 	clear(r.rej)
 	r.gate = r.gate[:n]
-	r.boundary = 0
-	r.candidates = 0
-	for v := 0; v < n; v++ {
-		vecw.Add(r.pwgts[int(part[v])*m:(int(part[v])+1)*m], g.Vwgt[v*m:(v+1)*m])
-	}
-	// The constraint totals are the subdomain weights summed.
-	for c := 0; c < m; c++ {
-		var total int64
-		for s := 0; s < r.k; s++ {
-			total += r.pwgts[s*m+c]
-		}
-		r.avg[c] = float64(total) / float64(r.k)
-		lim := vecw.Limit(total, r.k, r.opt.Tol)
-		for s := 0; s < r.k; s++ {
-			r.limit[s*m+c] = lim
-		}
-	}
-
-	var extern int64
-	for v := int32(0); int(v) < n; v++ {
-		a := part[v]
-		var id, ed int64
-		nfr := int32(0)
-		adj, wgt := g.Neighbors(v)
-		for i, u := range adj {
-			if part[u] == a {
-				id += int64(wgt[i])
-			} else {
-				ed += int64(wgt[i])
-				nfr++
-			}
-		}
-		r.id[v], r.ed[v], r.maxRow[v], r.nfr[v] = id, ed, ed, nfr
-		if nfr > 0 {
-			r.boundary++
-		}
-		r.gate[v] = false
-		r.setGate(v)
-		extern += ed
-	}
+	r.st.Bind(g.Xadj, g.Adjncy, g.Adjwgt, part)
+	r.st.Load(g.Vwgt)
+	r.st.SetLimits(r.opt.Tol)
+	r.st.Seed()
 	// Every cut edge contributes its weight to both endpoints' external
-	// degree, so the table seed yields the cut for free.
-	r.cut = extern / 2
+	// degree.
+	r.cut = r.st.External() / 2
+	r.candidates = 0
+	for v := range r.gate {
+		gate := r.gated(int32(v))
+		if r.gate[v] = gate; gate {
+			r.candidates++
+		}
+	}
 	r.updates = 0
 }
 
 // Cut returns the edge-cut as seeded by setup and maintained incrementally
-// across moves; valid after Refine/Balance.
+// across moves; valid after Refine.
 func (r *Refiner) Cut() int64 { return r.cut }
 
 // PartWeights returns a copy of the current k*m subdomain weight vectors;
-// valid after Refine/Balance.
+// valid after Refine.
 func (r *Refiner) PartWeights() []int64 {
-	return append([]int64(nil), r.pwgts...)
+	return append([]int64(nil), r.st.Pwgts...)
 }
 
 // Refine runs greedy refinement passes (preceded by balancing passes when
@@ -229,10 +167,10 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
 				trace.I64("n", int64(g.NumVertices())),
-				trace.I64("boundary_n", int64(r.boundary)))
+				trace.I64("boundary_n", int64(r.st.Boundary)))
 		}
 		moves := 0
-		if r.imbalanced() {
+		if r.st.Imbalanced() {
 			moves += r.balancePass(g, part, rand)
 		}
 		greedyMoves, gathered := r.greedyPass(g, part, rand)
@@ -246,52 +184,13 @@ func (r *Refiner) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 				trace.I64("gain_cache_updates", r.updates-updates0))
 		}
 		if check.Enabled {
-			check.GainCache("kwayrefine: after refine pass", g, part,
-				r.id, r.ed, r.maxRow, r.nfr, r.boundary, r.rej, r.gate, r.candidates)
+			check.Boundary("kwayrefine: after refine pass", &r.st, r.rej, r.gate, r.candidates)
 		}
 		if moves == 0 {
 			break
 		}
 	}
 	return totalMoves
-}
-
-// Balance runs only balancing passes; used to recover partitions that are
-// too imbalanced for greedy refinement to help (ablation 4 harness).
-func (r *Refiner) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
-	r.setup(g, part)
-	total := 0
-	for pass := 0; pass < r.opt.Passes && r.imbalanced(); pass++ {
-		if r.opt.Stop != nil && r.opt.Stop() {
-			break
-		}
-		moves := r.balancePass(g, part, rand)
-		total += moves
-		if check.Enabled {
-			check.GainCache("kwayrefine: after balance pass", g, part,
-				r.id, r.ed, r.maxRow, r.nfr, r.boundary, r.rej, r.gate, r.candidates)
-		}
-		if moves == 0 {
-			break
-		}
-	}
-	return total
-}
-
-// Imbalance returns the current max subdomain-weight / average ratio; valid
-// after Refine/Balance.
-func (r *Refiner) Imbalance() float64 {
-	worst := 0.0
-	for s := 0; s < r.k; s++ {
-		if rr := vecw.MaxRatio(r.pwgts[s*r.m:(s+1)*r.m], r.avg); rr > worst {
-			worst = rr
-		}
-	}
-	return worst
-}
-
-func (r *Refiner) imbalanced() bool {
-	return vecw.AnyOver(r.pwgts, r.limit)
 }
 
 // greedyPass visits vertices in random order and applies the best
@@ -317,17 +216,18 @@ func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) (moves
 			continue
 		}
 		gathered++
-		r.gatherRows(g, part, v)
-		id := r.id[v]
+		r.st.Gather(v)
+		r.setGate(v)
+		id := r.st.ID[v]
 		if b, gain := r.greedyMove(a, vw, id); b >= 0 {
-			r.apply(g, part, v, a, b, vw, gain)
+			r.apply(g, v, a, b, vw, gain)
 			moves++
 			continue
 		}
 		// Zero when the gather closed the gate: no row reaches id.
 		var mask uint64
-		for _, b := range r.rows.Touched() {
-			if r.rows.Weight(b) >= id {
+		for _, b := range r.st.Rows.Touched() {
+			if r.st.Rows.Weight(b) >= id {
 				mask |= 1 << (b & 63)
 			}
 		}
@@ -344,14 +244,13 @@ func (r *Refiner) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) (moves
 // False means greedyMove would return -1. It holds for any maxRow that is
 // an upper bound, and for any mask that is a superset.
 func (r *Refiner) mayMove(v, a int32, vw []int32) bool {
-	m := r.m
-	zeroGain := r.maxRow[v] == r.id[v]
+	zeroGain := r.st.MaxRow[v] == r.st.ID[v]
 	for mask := r.rej[v]; mask != 0; mask &= mask - 1 {
 		for b := int32(bits.TrailingZeros64(mask)); int(b) < r.k; b += 64 {
-			if b == a || !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
+			if b == a || !r.fits(b, vw) {
 				continue
 			}
-			if !zeroGain || r.balanceDelta(a, b, vw) < 0 {
+			if !zeroGain || r.st.BalanceDelta(a, b, vw) < 0 {
 				return true
 			}
 		}
@@ -364,19 +263,18 @@ func (r *Refiner) mayMove(v, a int32, vw []int32) bool {
 // >= 0, ties broken by the balance change; a zero-gain move must strictly
 // improve balance. Returns -1 when no row qualifies.
 func (r *Refiner) greedyMove(a int32, vw []int32, id int64) (int32, int64) {
-	m := r.m
 	bestB := int32(-1)
 	var bestGain int64
 	bestBal := 0.0
-	for _, b := range r.rows.Touched() {
-		gain := r.rows.Weight(b) - id
+	for _, b := range r.st.Rows.Touched() {
+		gain := r.st.Rows.Weight(b) - id
 		if gain < 0 || (bestB >= 0 && gain < bestGain) {
 			continue
 		}
-		if !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
+		if !r.fits(b, vw) {
 			continue
 		}
-		bal := r.balanceDelta(a, b, vw)
+		bal := r.st.BalanceDelta(a, b, vw)
 		if gain == 0 && bal >= 0 && bestB < 0 {
 			continue // zero-gain move must strictly improve balance
 		}
@@ -396,22 +294,21 @@ func (r *Refiner) greedyMove(a int32, vw []int32, id int64) (int32, int64) {
 // skip the adjacency scan for them. Returns the number of moves.
 func (r *Refiner) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	rand.Perm(r.order)
-	m := r.m
 	moves := 0
 	for _, v := range r.order {
 		a := part[v]
-		if !vecw.AnyOver(r.pwgts[int(a)*m:(int(a)+1)*m], r.limit[int(a)*m:(int(a)+1)*m]) {
+		if !r.over(a) {
 			continue
 		}
 		vw := g.VertexWeight(v)
 		// Interior vertices (overweight subdomains may drain them too)
 		// gather an empty row set in O(1).
-		r.gatherRows(g, part, v)
-		if b, gain := r.balanceMove(v, a, vw, r.id[v]); b >= 0 {
-			r.apply(g, part, v, a, b, vw, gain)
+		r.st.Gather(v)
+		r.setGate(v)
+		if b, gain := r.balanceMove(v, a, vw, r.st.ID[v]); b >= 0 {
+			r.apply(g, v, a, b, vw, gain)
 			moves++
-			if !vecw.AnyOver(r.pwgts[int(a)*m:(int(a)+1)*m], r.limit[int(a)*m:(int(a)+1)*m]) &&
-				!r.imbalanced() {
+			if !r.over(a) && !r.st.Imbalanced() {
 				break
 			}
 		}
@@ -427,12 +324,12 @@ func (r *Refiner) balanceMove(v, a int32, vw []int32, id int64) (int32, int64) {
 	bestB := int32(-1)
 	var bestGain int64
 	bestBal := 0.0
-	for _, b := range r.rows.Touched() {
-		r.tryCandidate(a, b, vw, r.rows.Weight(b)-id, &bestB, &bestGain, &bestBal)
+	for _, b := range r.st.Rows.Touched() {
+		r.tryCandidate(a, b, vw, r.st.Rows.Weight(b)-id, &bestB, &bestGain, &bestBal)
 	}
 	if bestB < 0 {
 		for b := int32(0); int(b) < r.k; b++ {
-			if b == a || r.rows.Marked(v, b) {
+			if b == a || r.st.Rows.Marked(v, b) {
 				continue
 			}
 			r.tryCandidate(a, b, vw, -id, &bestB, &bestGain, &bestBal)
@@ -444,11 +341,10 @@ func (r *Refiner) balanceMove(v, a int32, vw []int32, id int64) (int32, int64) {
 // tryCandidate updates the running best (b, gain) if moving v (weight vw)
 // from a to b is legal and better: balance improvement first, then gain.
 func (r *Refiner) tryCandidate(a, b int32, vw []int32, gain int64, bestB *int32, bestGain *int64, bestBal *float64) {
-	m := r.m
-	if !vecw.FitsUnder(r.pwgts[int(b)*m:(int(b)+1)*m], vw, r.limit[int(b)*m:(int(b)+1)*m]) {
+	if !r.fits(b, vw) {
 		return
 	}
-	bal := r.balanceDelta(a, b, vw)
+	bal := r.st.BalanceDelta(a, b, vw)
 	if bal >= 0 {
 		return // must strictly improve balance in a balance pass
 	}
@@ -457,107 +353,42 @@ func (r *Refiner) tryCandidate(a, b int32, vw []int32, gain int64, bestB *int32,
 	}
 }
 
-// gatherRows loads v's gain rows into r.rows by scanning its adjacency list
-// (O(degree); an interior vertex gathers the empty set without a scan), so
-// rows and their first-occurrence order are exactly what the tie-breaks
-// expect, and tightens maxRow[v] to the heaviest row. The internal degree
-// is not recomputed — callers read the cached r.id[v], which apply keeps
-// equal to what a scan would yield (mcdebug validates it after every pass).
-func (r *Refiner) gatherRows(g *graph.Graph, part []int32, v int32) {
-	r.rows.Clear()
-	if r.nfr[v] == 0 {
-		return
-	}
-	a := part[v]
-	adj, wgt := g.Neighbors(v)
-	for i, u := range adj {
-		if b := part[u]; b != a {
-			r.rows.Add(v, b, int64(wgt[i]))
-		}
-	}
-	var heaviest int64
-	for _, b := range r.rows.Touched() {
-		heaviest = max(heaviest, r.rows.Weight(b))
-	}
-	r.maxRow[v] = heaviest
-	r.setGate(v)
-}
-
-// apply commits the move of v (weight vw, cut reduction gain) from a to b
-// and repairs the gain cache: v's own id/ed/nfr are rebuilt from its
-// adjacency, its maxRow reset to ed and its mask cleared, each neighbor's
-// entry is adjusted by the edge it shares with v, the boundary count
-// follows every foreign-neighbor count that crosses zero, and the
-// candidate gate is re-derived for every neighbor. A neighbor's row toward
-// b is the only one that can grow, and only when the neighbor is not
-// itself in b, so exactly then its maxRow rises by the edge weight; every
-// maxRow stays clamped to ed. Each mask stays a superset of the rows that
-// reach id: a neighbor in a has its id fall, so any row may now reach it
-// and its mask is cleared; a neighbor in b has its id rise while one row
-// falls, so its mask holds; any other neighbor gains b's bit, the one row
-// that grew. O(degree(v)) total — the incremental update that makes
-// boundary-driven passes sound.
-func (r *Refiner) apply(g *graph.Graph, part []int32, v, a, b int32, vw []int32, gain int64) {
+// apply commits the move of v (weight vw, cut reduction gain) from a to b:
+// the loads and the cut, then the boundary state through its one move
+// update (v's entry and every neighbor's), then the serial tables. The
+// mover's mask is cleared, and every neighbor's mask stays a superset of the
+// rows that reach its id: a neighbor in a has its id fall, so any row may
+// now reach it and its mask is cleared; a neighbor in b has its id rise
+// while one row falls, so its mask holds; any other neighbor gains b's bit,
+// the one row that grew. The gate is re-derived for v and every neighbor.
+// O(degree(v)).
+func (r *Refiner) apply(g *graph.Graph, v, a, b int32, vw []int32, gain int64) {
 	m := r.m
-	vecw.Move(r.pwgts[int(a)*m:(int(a)+1)*m], r.pwgts[int(b)*m:(int(b)+1)*m], vw)
-	part[v] = b
+	vecw.Move(r.st.Pwgts[int(a)*m:(int(a)+1)*m], r.st.Pwgts[int(b)*m:(int(b)+1)*m], vw)
 	r.cut -= gain
-
-	var idv, edv int64
-	nfrv := int32(0)
-	adj, wgt := g.Neighbors(v)
-	for i, u := range adj {
-		w := int64(wgt[i])
-		switch part[u] {
-		case b:
-			// v was foreign to u (a != b), now internal: u's a-row shrinks.
-			idv += w
-			r.id[u] += w
-			r.ed[u] -= w
-			r.maxRow[u] = min(r.maxRow[u], r.ed[u])
-			r.nfr[u]--
-			if r.nfr[u] == 0 {
-				r.boundary--
-			}
-		case a:
-			// v was internal to u, now foreign: u's b-row grows.
-			edv += w
-			nfrv++
-			r.id[u] -= w
-			r.ed[u] += w
-			r.maxRow[u] += w
-			r.nfr[u]++
-			if r.nfr[u] == 1 {
-				r.boundary++
-			}
+	r.st.Move(v, a, b)
+	adj, _ := g.Neighbors(v)
+	for _, u := range adj {
+		if pu := r.st.Labels[u]; pu == a {
 			r.rej[u] = 0
-		default:
-			// v was foreign to u before and after: weight moves from u's
-			// a-row to its b-row.
-			edv += w
-			nfrv++
-			r.maxRow[u] = min(r.maxRow[u]+w, r.ed[u])
-			if r.rej[u] != 0 {
-				r.rej[u] |= 1 << (b & 63)
-			}
+		} else if pu != b && r.rej[u] != 0 {
+			r.rej[u] |= 1 << (b & 63)
 		}
 		r.setGate(u)
 	}
-	if r.nfr[v] > 0 {
-		r.boundary--
-	}
-	if nfrv > 0 {
-		r.boundary++
-	}
-	r.id[v], r.ed[v], r.maxRow[v], r.nfr[v], r.rej[v] = idv, edv, edv, nfrv, 0
+	r.rej[v] = 0
 	r.setGate(v)
 	r.updates += int64(len(adj)) + 1
 }
 
-// setGate re-derives v's candidate gate from its cached degrees and row
-// bound and keeps the running candidate count in step.
+// gated reports whether v is a candidate: a boundary vertex whose row bound
+// reaches its internal degree.
+func (r *Refiner) gated(v int32) bool { return r.st.Nfr[v] > 0 && r.st.MaxRow[v] >= r.st.ID[v] }
+
+// setGate re-derives v's candidate gate and keeps the running candidate
+// count in step.
 func (r *Refiner) setGate(v int32) {
-	if gate := r.nfr[v] > 0 && r.maxRow[v] >= r.id[v]; gate != r.gate[v] {
+	if gate := r.gated(v); gate != r.gate[v] {
 		r.gate[v] = gate
 		if gate {
 			r.candidates++
@@ -567,21 +398,14 @@ func (r *Refiner) setGate(v int32) {
 	}
 }
 
-// balanceDelta returns the change in Σ_c (load/avg)² over subdomains a and
-// b if v's weight vector vw moves from a to b; negative means the move
-// improves balance.
-func (r *Refiner) balanceDelta(a, b int32, vw []int32) float64 {
+// fits reports whether subdomain b can take weight vw within its limit.
+func (r *Refiner) fits(b int32, vw []int32) bool {
 	m := r.m
-	var before, after float64
-	for c := 0; c < m; c++ {
-		if r.avg[c] <= 0 {
-			continue
-		}
-		wa := float64(r.pwgts[int(a)*m+c])
-		wb := float64(r.pwgts[int(b)*m+c])
-		w := float64(vw[c])
-		before += (wa*wa + wb*wb) / (r.avg[c] * r.avg[c])
-		after += ((wa-w)*(wa-w) + (wb+w)*(wb+w)) / (r.avg[c] * r.avg[c])
-	}
-	return after - before
+	return vecw.FitsUnder(r.st.Pwgts[int(b)*m:(int(b)+1)*m], vw, r.st.Limit[int(b)*m:(int(b)+1)*m])
+}
+
+// over reports whether subdomain a is over its limit on any constraint.
+func (r *Refiner) over(a int32) bool {
+	m := r.m
+	return vecw.AnyOver(r.st.Pwgts[int(a)*m:(int(a)+1)*m], r.st.Limit[int(a)*m:(int(a)+1)*m])
 }

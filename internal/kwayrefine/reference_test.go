@@ -25,24 +25,10 @@ func (r reference) Refine(g *graph.Graph, part []int32, rand *rng.RNG) int {
 	total := 0
 	for pass := 0; pass < r.opt.Passes; pass++ {
 		moves := 0
-		if r.imbalanced() {
+		if r.st.Imbalanced() {
 			moves += r.balancePass(g, part, rand)
 		}
 		moves += r.greedyPass(g, part, rand)
-		total += moves
-		if moves == 0 {
-			break
-		}
-	}
-	return total
-}
-
-// Balance mirrors Refiner.Balance.
-func (r reference) Balance(g *graph.Graph, part []int32, rand *rng.RNG) int {
-	r.setup(g, part)
-	total := 0
-	for pass := 0; pass < r.opt.Passes && r.imbalanced(); pass++ {
-		moves := r.balancePass(g, part, rand)
 		total += moves
 		if moves == 0 {
 			break
@@ -61,7 +47,7 @@ func (r reference) greedyPass(g *graph.Graph, part []int32, rand *rng.RNG) int {
 		}
 		a, vw := part[v], g.VertexWeight(v)
 		if b, gain := r.greedyMove(a, vw, id); b >= 0 {
-			r.apply(g, part, v, a, b, vw, gain)
+			r.apply(g, v, a, b, vw, gain)
 			moves++
 		}
 	}
@@ -74,16 +60,16 @@ func (r reference) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int 
 	moves := 0
 	for _, v := range r.order {
 		a := part[v]
-		if !vecw.AnyOver(r.pwgts[int(a)*m:(int(a)+1)*m], r.limit[int(a)*m:(int(a)+1)*m]) {
+		if !vecw.AnyOver(r.st.Pwgts[int(a)*m:(int(a)+1)*m], r.st.Limit[int(a)*m:(int(a)+1)*m]) {
 			continue
 		}
 		vw := g.VertexWeight(v)
 		id, _ := r.gatherScan(g, part, v)
 		if b, gain := r.balanceMove(v, a, vw, id); b >= 0 {
-			r.apply(g, part, v, a, b, vw, gain)
+			r.apply(g, v, a, b, vw, gain)
 			moves++
-			if !vecw.AnyOver(r.pwgts[int(a)*m:(int(a)+1)*m], r.limit[int(a)*m:(int(a)+1)*m]) &&
-				!r.imbalanced() {
+			if !vecw.AnyOver(r.st.Pwgts[int(a)*m:(int(a)+1)*m], r.st.Limit[int(a)*m:(int(a)+1)*m]) &&
+				!r.st.Imbalanced() {
 				break
 			}
 		}
@@ -94,15 +80,15 @@ func (r reference) balancePass(g *graph.Graph, part []int32, rand *rng.RNG) int 
 // gatherScan loads v's gain rows from a fresh adjacency scan and returns
 // its from-scratch internal degree and whether it has a foreign neighbor.
 func (r reference) gatherScan(g *graph.Graph, part []int32, v int32) (id int64, boundary bool) {
-	r.rows.Clear()
+	r.st.Rows.Clear()
 	a := part[v]
 	adj, wgt := g.Neighbors(v)
 	for i, u := range adj {
 		if b := part[u]; b != a {
-			r.rows.Add(v, b, int64(wgt[i]))
+			r.st.Rows.Add(v, b, int64(wgt[i]))
 		} else {
 			id += int64(wgt[i])
 		}
 	}
-	return id, len(r.rows.Touched()) > 0
+	return id, len(r.st.Rows.Touched()) > 0
 }

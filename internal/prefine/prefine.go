@@ -34,18 +34,20 @@
 // a subdomain — the scheme the paper measured at up to 50% worse edge-cut)
 // and unrestricted commits (no balance protection at all).
 //
-// Cost. Each rank keeps a degree cache per owned vertex: id and ed, the
-// edge weight to its own and to foreign subdomains, and nfr, its number of
-// foreign neighbors. Tentative moves, reservation rollbacks and ghost
-// exchanges keep it exact; a pass revert recomputes it. The up and down
-// sweeps evaluate only the candidates, the vertices with ed > id: every
+// Cost. Each rank keeps the serial refiner's boundary state
+// (internal/gaincache) over its owned vertices, with their ghosts' labels:
+// id and ed, the edge weight to its own and to foreign subdomains, nfr, its
+// number of foreign neighbors, and maxRow, an upper bound on its heaviest
+// gain row. Tentative moves, reservation rollbacks and changed ghost labels
+// go through the state's one neighbor update; a pass revert re-seeds it.
+// The up and down sweeps gather only the vertices with maxRow > id: every
 // other vertex has no positive-gain move. A sweep thus costs O(n) for the
-// random permutation plus O(degree) per candidate. Balance sweeps, which
-// may move interior vertices, and the SliceSmart demand scan still gather
-// every vertex's adjacency. The global cut is the all-reduced sum of the
-// cached external degrees. The simulated clock is charged as if every
-// visited vertex were scanned, so simulated times do not depend on the
-// cache (see DESIGN.md, "Boundary refinement contract").
+// random permutation plus O(degree) per gathered vertex. Balance sweeps,
+// which may move interior vertices, gather every vertex they visit, and the
+// SliceSmart demand scan every boundary vertex. The global cut is the
+// all-reduced sum of the external degrees. The simulated clock is charged
+// as if every visited vertex were scanned, so simulated times do not depend
+// on the state (see DESIGN.md, "Boundary refinement contract").
 package prefine
 
 import (
@@ -120,11 +122,12 @@ type Options struct {
 	Stop func() bool
 	// Trace, when non-nil, records one "refine.pass" span per pass on
 	// this rank's track, attributed with the pass's global moves and
-	// global cut, and with this rank's boundary vertices and candidates
-	// seen in the up sweep and its reservation conflicts (tentative moves
-	// rolled back by the reservation protocol). Purely local recording —
-	// no extra collectives — so traced and untraced runs have identical
-	// simulated times. nil disables all recording.
+	// global cut, with this rank's boundary vertices, candidates (ed > id)
+	// and gathered vertices (maxRow > id) seen in the up sweep, and with
+	// its reservation conflicts (tentative moves rolled back by the
+	// reservation protocol). Purely local recording — no extra collectives
+	// — so traced and untraced runs have identical simulated times. nil
+	// disables all recording.
 	Trace *trace.Rank
 }
 
@@ -135,32 +138,21 @@ type Refiner struct {
 	m   int
 	opt Options
 
-	part      []int32 // owned vertices' labels
-	ghostPart []int32
+	part []int32 // the caller's owned labels, written back by Refine
 
-	pwgts []int64 // replicated k*m subdomain weights
-	limit []int64
-	avg   []float64
-
-	// Degree cache of the owned vertices, exact under every label change
-	// this rank sees: id/ed are the summed edge weights to same-/other-
-	// subdomain neighbors, nfr the number of other-subdomain neighbors.
-	// The up and down sweeps evaluate only vertices with ed > id.
-	id  []int64
-	ed  []int64
-	nfr []int32
+	// st is the boundary state over the owned vertices, exact under every
+	// label change this rank sees; its labels are the owned labels, then
+	// the ghosts'. Its Pwgts are the replicated k*m subdomain weights.
+	st gaincache.State
 	// gxadj/gadj/gwgt is the ghost→owned reverse adjacency (CSR over ghost
 	// slots): the owned endpoint and weight of every edge to each ghost,
 	// through which a ghost exchange applies changed ghost labels to the
-	// cache. ghostNew receives the exchange before the diff.
+	// state. ghostNew receives the exchange before the diff.
 	gxadj    []int32
 	gadj     []int32
 	gwgt     []int32
 	ghostNew []int32
 
-	// scratch: rows is the per-vertex gain accumulator shared (as a
-	// structure) with the serial refiner — see internal/gaincache.
-	rows  *gaincache.Rows
 	order []int32
 
 	// proposal buffers
@@ -175,9 +167,11 @@ type Refiner struct {
 	// bndSeen counts this rank's boundary vertices seen during the pass's
 	// up-sweep (diagnostic; reported as boundary_n on trace spans).
 	bndSeen int64
-	// candidates counts the gated (ed > id) vertices this rank evaluated
-	// in the pass's up-sweep (diagnostic; reported on trace spans).
+	// candidates counts the vertices with ed > id this rank saw in the
+	// pass's up-sweep, and gathered those it gathered, the ones with
+	// maxRow > id (diagnostics; reported on trace spans).
 	candidates int64
+	gathered   int64
 }
 
 // proposed move bookkeeping sizes: inflow and net deltas are k*m each.
@@ -195,33 +189,24 @@ func NewRefiner(dg *pgraph.DGraph, part []int32, k int, opt Options) *Refiner {
 	nlocal := dg.NLocal()
 	r := &Refiner{
 		dg: dg, k: k, m: m, opt: opt,
-		part:      part,
-		ghostPart: make([]int32, dg.NGhost()),
-		pwgts:     make([]int64, k*m),
-		limit:     make([]int64, k*m),
-		avg:       make([]float64, m),
-		id:        make([]int64, nlocal),
-		ed:        make([]int64, nlocal),
-		nfr:       make([]int32, nlocal),
-		ghostNew:  make([]int32, dg.NGhost()),
-		rows:      gaincache.NewRows(k),
-		order:     make([]int32, nlocal),
+		part:     part,
+		st:       gaincache.NewState(k, m),
+		ghostNew: make([]int32, dg.NGhost()),
+		order:    make([]int32, nlocal),
 	}
-	for v := 0; v < dg.NLocal(); v++ {
-		vecw.Add(r.pwgts[int(part[v])*m:(int(part[v])+1)*m], dg.Vwgt[v*m:(v+1)*m])
-	}
-	dg.Comm.AllreduceSumI64(r.pwgts)
-	total := dg.TotalVertexWeight()
-	for c := 0; c < m; c++ {
-		r.avg[c] = float64(total[c]) / float64(k)
-		lim := vecw.Limit(total[c], k, opt.Tol)
-		for s := 0; s < k; s++ {
-			r.limit[s*m+c] = lim
-		}
-	}
-	dg.ExchangeGhostsI32(part, r.ghostPart)
+	labels := make([]int32, nlocal+dg.NGhost())
+	copy(labels, part)
+	r.st.Bind(dg.Xadj, dg.Adjncy, dg.Adjwgt, labels)
+	r.st.Load(dg.Vwgt)
+	dg.Comm.AllreduceSumI64(r.st.Pwgts)
+	// The totals are the column sums of the all-reduced loads, which
+	// SetLimits takes; this all-reduce is redundant, but removing it
+	// would move every simulated time.
+	dg.TotalVertexWeight()
+	r.st.SetLimits(opt.Tol)
+	dg.ExchangeGhostsI32(labels[:nlocal], labels[nlocal:])
 	r.buildGhostAdjacency()
-	r.recomputeDegrees()
+	r.st.Seed()
 	return r
 }
 
@@ -252,88 +237,23 @@ func (r *Refiner) buildGhostAdjacency() {
 	}
 }
 
-// recomputeDegrees re-derives the degree cache of every owned vertex.
-func (r *Refiner) recomputeDegrees() {
-	for v := int32(0); int(v) < r.dg.NLocal(); v++ {
-		r.id[v], r.ed[v], r.nfr[v] = r.degrees(v)
-	}
-}
-
-// degrees scans owned vertex v's adjacency against the current owned and
-// ghost labels.
-func (r *Refiner) degrees(v int32) (id, ed int64, nfr int32) {
-	dg := r.dg
-	a := r.part[v]
-	for e := dg.Xadj[v]; e < dg.Xadj[v+1]; e++ {
-		if r.label(dg.Adjncy[e]) == a {
-			id += int64(dg.Adjwgt[e])
-		} else {
-			ed += int64(dg.Adjwgt[e])
-			nfr++
-		}
-	}
-	return id, ed, nfr
-}
-
-// label returns the current label of local index u (owned or ghost).
-func (r *Refiner) label(u int32) int32 {
-	if nlocal := r.dg.NLocal(); int(u) >= nlocal {
-		return r.ghostPart[int(u)-nlocal]
-	}
-	return r.part[u]
-}
-
-// relabel updates the degree cache after owned vertex v moved from a to b
-// (r.part[v] already holds b): v's entry is re-derived, and for every
-// owned neighbor the edge to v changes side.
-func (r *Refiner) relabel(v, a, b int32) {
-	dg := r.dg
-	nlocal := dg.NLocal()
-	for e := dg.Xadj[v]; e < dg.Xadj[v+1]; e++ {
-		if u := dg.Adjncy[e]; int(u) < nlocal {
-			r.shift(u, a, b, int64(dg.Adjwgt[e]))
-		}
-	}
-	r.id[v], r.ed[v], r.nfr[v] = r.degrees(v)
-}
-
-// shift moves the weight w of one of owned vertex u's edges between its
-// internal and external degree after the edge's other endpoint changed
-// label from a to b.
-func (r *Refiner) shift(u, a, b int32, w int64) {
-	switch r.part[u] {
-	case a:
-		r.id[u] -= w
-		r.ed[u] += w
-		r.nfr[u]++
-	case b:
-		r.id[u] += w
-		r.ed[u] -= w
-		r.nfr[u]--
-	}
-}
-
 // exchangeGhosts refreshes the ghost labels (collective) and applies every
-// changed one to the degree cache through the reverse adjacency.
+// changed one to the boundary state through the reverse adjacency.
 func (r *Refiner) exchangeGhosts() {
-	r.dg.ExchangeGhostsI32(r.part, r.ghostNew)
+	nlocal := r.dg.NLocal()
+	r.dg.ExchangeGhostsI32(r.st.Labels[:nlocal], r.ghostNew)
 	for g, b := range r.ghostNew {
-		if a := r.ghostPart[g]; a != b {
+		if a := r.st.Labels[nlocal+g]; a != b {
+			r.st.Labels[nlocal+g] = b
 			for i := r.gxadj[g]; i < r.gxadj[g+1]; i++ {
-				r.shift(r.gadj[i], a, b, int64(r.gwgt[i]))
+				r.st.Shift(r.gadj[i], a, b, int64(r.gwgt[i]))
 			}
 		}
 	}
-	r.ghostPart, r.ghostNew = r.ghostNew, r.ghostPart
 }
 
-// checkDegrees verifies the degree cache under the mcdebug build tag.
-func (r *Refiner) checkDegrees(where string) {
-	dg := r.dg
-	check.DegreeCache(where, dg.Xadj, dg.Adjncy, dg.Adjwgt, r.part, r.ghostPart, r.id, r.ed, r.nfr)
-}
-
-// Part returns the rank's current labels (aliases the slice passed in).
+// Part returns the rank's labels (aliases the slice passed in); current
+// after Refine.
 func (r *Refiner) Part() []int32 { return r.part }
 
 // GlobalCut returns the current global edge-cut: the cached external
@@ -344,27 +264,15 @@ func (r *Refiner) GlobalCut() int64 { return r.globalCut() }
 // PartWeights returns a copy of the replicated k*m global subdomain weight
 // vectors as maintained incrementally by the commit reductions.
 func (r *Refiner) PartWeights() []int64 {
-	return append([]int64(nil), r.pwgts...)
+	return append([]int64(nil), r.st.Pwgts...)
 }
-
-// Imbalance returns the current global max imbalance (replicated state, no
-// communication).
-func (r *Refiner) Imbalance() float64 {
-	worst := 0.0
-	for s := 0; s < r.k; s++ {
-		if x := vecw.MaxRatio(r.pwgts[s*r.m:(s+1)*r.m], r.avg); x > worst {
-			worst = x
-		}
-	}
-	return worst
-}
-
-func (r *Refiner) imbalanced() bool { return vecw.AnyOver(r.pwgts, r.limit) }
 
 // Refine runs refinement iterations until the edge-cut stops improving (at
-// balance) or the pass budget is exhausted. Collective. Returns total
-// global moves.
+// balance) or the pass budget is exhausted, and leaves the labels in the
+// slice passed to NewRefiner. Collective. Returns total global moves.
 func (r *Refiner) Refine(rand *rng.RNG) int64 {
+	owned := r.st.Labels[:r.dg.NLocal()]
+	defer copy(r.part, owned)
 	var totalMoves int64
 	prevCut := r.globalCut()
 	stale := 0
@@ -379,6 +287,7 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 			conflicts0 = r.conflicts
 			r.bndSeen = 0
 			r.candidates = 0
+			r.gathered = 0
 			r.opt.Trace.Begin("refine.pass",
 				trace.I64("pass", int64(pass)),
 				trace.I64("local_n", int64(r.dg.NLocal())))
@@ -388,17 +297,17 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 		// rollback — so roll back whole passes that hurt a balanced
 		// partitioning. (A pass starting imbalanced is kept regardless:
 		// its job is balance, which is worth edge-cut.)
-		startBalanced := !r.imbalanced()
+		startBalanced := !r.st.Imbalanced()
 		if startBalanced {
-			snapPart = append(snapPart[:0], r.part...)
-			snapPwgts = append(snapPwgts[:0], r.pwgts...)
+			snapPart = append(snapPart[:0], owned...)
+			snapPwgts = append(snapPwgts[:0], r.st.Pwgts...)
 		}
 		var moves int64
 		// Balance phases repeat (each bounded by the fair-share quota)
 		// until the constraints are back under their limits or progress
 		// stops; refinement on an imbalanced partitioning just fights the
 		// balancer.
-		for i := 0; i < 3 && r.imbalanced(); i++ {
+		for i := 0; i < 3 && r.st.Imbalanced(); i++ {
 			mv := r.phase(rand, phaseBalance)
 			moves += mv
 			if mv == 0 {
@@ -417,20 +326,21 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 				trace.I64("cut", cut),
 				trace.I64("boundary_n", r.bndSeen),
 				trace.I64("candidates", r.candidates),
+				trace.I64("gathered", r.gathered),
 				trace.I64("conflicts", r.conflicts-conflicts0))
 		}
 		if moves == 0 {
 			break
 		}
-		if cut >= prevCut && !r.imbalanced() {
+		if cut >= prevCut && !r.st.Imbalanced() {
 			if startBalanced && cut > prevCut {
 				// Net loss on a balanced partitioning: revert the pass.
-				copy(r.part, snapPart)
-				copy(r.pwgts, snapPwgts)
-				r.dg.ExchangeGhostsI32(r.part, r.ghostPart)
-				r.recomputeDegrees()
+				copy(owned, snapPart)
+				copy(r.st.Pwgts, snapPwgts)
+				r.dg.ExchangeGhostsI32(owned, r.st.Labels[len(owned):])
+				r.st.Seed()
 				if check.Enabled {
-					r.checkDegrees("prefine: after pass revert")
+					check.Boundary("prefine: after pass revert", &r.st, nil, nil, 0)
 				}
 				break
 			}
@@ -451,16 +361,12 @@ func (r *Refiner) Refine(rand *rng.RNG) int64 {
 // globalCut returns the current edge-cut (collective). Each rank sums its
 // owned vertices' external degrees; every cut edge is counted exactly twice
 // across the world (once per endpoint, regardless of ownership). The
-// simulated clock is still charged the full adjacency scan the cached sum
+// simulated clock is still charged the full adjacency scan the sum
 // replaces.
 func (r *Refiner) globalCut() int64 {
 	dg := r.dg
-	var local int64
-	for _, ed := range r.ed {
-		local += ed
-	}
 	dg.Comm.Work(int(dg.Xadj[dg.NLocal()]))
-	buf := []int64{local}
+	buf := []int64{r.st.External()}
 	dg.Comm.AllreduceSumI64(buf)
 	return buf[0] / 2
 }
@@ -527,7 +433,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		slice = make([]int64, k*m)
 		p := int64(dg.Comm.Size())
 		for i := range slice {
-			if extra := r.limit[i] - r.pwgts[i]; extra > 0 {
+			if extra := r.st.Limit[i] - r.st.Pwgts[i]; extra > 0 {
 				slice[i] = extra / p
 			}
 		}
@@ -544,7 +450,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		quota = make([]int64, k*m)
 		p := int64(dg.Comm.Size())
 		for i := range quota {
-			if excess := r.pwgts[i] - r.limit[i]; excess > 0 {
+			if excess := r.st.Pwgts[i] - r.st.Limit[i]; excess > 0 {
 				quota[i] = excess/p + 1
 			}
 		}
@@ -552,13 +458,13 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 
 	work := 0
 	for _, v := range verts {
-		a := r.part[v]
+		a := r.st.Labels[v]
 		if kind == phaseBalance {
 			// Only drain subdomains still over limit, within this rank's
 			// fair-share quota for at least one violated constraint.
 			hasQuota := false
 			for c := 0; c < m; c++ {
-				if quota[int(a)*m+c] > 0 && r.pwgts[int(a)*m+c]+ldelta[int(a)*m+c] > r.limit[int(a)*m+c] {
+				if quota[int(a)*m+c] > 0 && r.st.Pwgts[int(a)*m+c]+ldelta[int(a)*m+c] > r.st.Limit[int(a)*m+c] {
 					hasQuota = true
 					break
 				}
@@ -571,25 +477,29 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		// visited vertex, gated or not.
 		work += dg.Degree(int(v))
 		if kind != phaseBalance {
-			if kind == phaseUp && r.nfr[v] > 0 {
+			if kind == phaseUp && r.st.Nfr[v] > 0 {
 				r.bndSeen++
 			}
-			// Every row is at most ed and these sweeps drop gain <= 0, so
-			// a vertex with ed <= id has no move to propose.
-			if r.ed[v] <= r.id[v] {
+			if kind == phaseUp && r.st.ED[v] > r.st.ID[v] {
+				r.candidates++
+			}
+			// Every row is at most maxRow and these sweeps drop gain <= 0,
+			// so a vertex with maxRow <= id has no move to propose.
+			if r.st.MaxRow[v] <= r.st.ID[v] {
 				continue
 			}
 			if kind == phaseUp {
-				r.candidates++
+				r.gathered++
 			}
 		}
-		id, _ := r.gatherExternal(v)
+		r.st.Gather(v)
+		id := r.st.ID[v]
 		vw := dg.LocalVertexWeight(v)
 		bestB := int32(-1)
 		var bestGain int64
 		bestBal := 0.0
-		for _, b := range r.rows.Touched() {
-			gain := r.rows.Weight(b) - id
+		for _, b := range r.st.Rows.Touched() {
+			gain := r.st.Rows.Weight(b) - id
 			if kind != phaseBalance && gain <= 0 {
 				// Unlike the serial greedy pass, zero-gain balance-improving
 				// moves are not worth proposing here: their realized gain
@@ -601,7 +511,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 			if !r.acceptable(kind, a, b, vw, gain, ldelta, slice) {
 				continue
 			}
-			bal := r.balanceDelta(a, b, vw)
+			bal := r.st.BalanceDelta(a, b, vw)
 			if kind == phaseBalance && bal >= 0 {
 				continue
 			}
@@ -612,14 +522,14 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		if bestB < 0 && kind == phaseBalance {
 			// Overweight subdomain with no adjacent relief: consider all.
 			for b := int32(0); int(b) < k; b++ {
-				if b == a || r.rows.Marked(v, b) {
+				if b == a || r.st.Rows.Marked(v, b) {
 					continue
 				}
 				gain := -id
 				if !r.acceptable(kind, a, b, vw, gain, ldelta, slice) {
 					continue
 				}
-				if bal := r.balanceDelta(a, b, vw); bal < 0 && (bestB < 0 || bal < bestBal) {
+				if bal := r.st.BalanceDelta(a, b, vw); bal < 0 && (bestB < 0 || bal < bestBal) {
 					bestB, bestGain, bestBal = b, gain, bal
 				}
 			}
@@ -635,8 +545,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		r.propFrom = append(r.propFrom, a)
 		r.propTo = append(r.propTo, bestB)
 		r.propGain = append(r.propGain, bestGain)
-		r.part[v] = bestB
-		r.relabel(v, a, bestB)
+		r.st.Move(v, a, bestB)
 		vecw.Sub(ldelta[int(a)*m:(int(a)+1)*m], vw)
 		vecw.Add(ldelta[int(bestB)*m:(int(bestB)+1)*m], vw)
 		vecw.Add(inflow[int(bestB)*m:(int(bestB)+1)*m], vw)
@@ -679,8 +588,7 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		a, b := r.propFrom[i], r.propTo[i]
 		vw := dg.LocalVertexWeight(v)
 		if disallow[i] {
-			r.part[v] = a
-			r.relabel(v, b, a)
+			r.st.Move(v, b, a)
 			r.conflicts++
 			continue
 		}
@@ -689,12 +597,12 @@ func (r *Refiner) round(rand *rng.RNG, kind phaseKind, verts []int32) int64 {
 		moves++
 	}
 	dg.Comm.AllreduceSumI64(committed)
-	for i := range r.pwgts {
-		r.pwgts[i] += committed[i]
+	for i := range r.st.Pwgts {
+		r.st.Pwgts[i] += committed[i]
 	}
 	r.exchangeGhosts()
 	if check.Enabled {
-		r.checkDegrees("prefine: after round")
+		check.Boundary("prefine: after round", &r.st, nil, nil, 0)
 	}
 
 	mv := []int64{moves}
@@ -715,18 +623,15 @@ func (r *Refiner) smartSlices() []int64 {
 	demand := make([]int64, k*m)
 	nlocal := dg.NLocal()
 	for v := int32(0); int(v) < nlocal; v++ {
-		id, boundary := r.gatherExternal(v)
-		if !boundary {
+		if r.st.Nfr[v] == 0 {
 			continue
 		}
-		a := r.part[v]
+		r.st.Gather(v)
+		id := r.st.ID[v]
 		bestB := int32(-1)
 		var bestGain int64
-		for _, b := range r.rows.Touched() {
-			if b == a {
-				continue
-			}
-			if gain := r.rows.Weight(b) - id; gain > 0 && (bestB < 0 || gain > bestGain) {
+		for _, b := range r.st.Rows.Touched() {
+			if gain := r.st.Rows.Weight(b) - id; gain > 0 && (bestB < 0 || gain > bestGain) {
 				bestB, bestGain = b, gain
 			}
 		}
@@ -740,7 +645,7 @@ func (r *Refiner) smartSlices() []int64 {
 
 	slice := make([]int64, k*m)
 	for i := range slice {
-		extra := r.limit[i] - r.pwgts[i]
+		extra := r.st.Limit[i] - r.st.Pwgts[i]
 		if extra <= 0 || totalDemand[i] == 0 {
 			continue
 		}
@@ -775,10 +680,10 @@ func (r *Refiner) applyReservation(globalInflow, ownInflow []int64, disallow []b
 		for c := 0; c < m; c++ {
 			i := b*m + c
 			budget[c] = 1 << 62
-			if globalInflow[i] == 0 || r.pwgts[i]+globalInflow[i] <= r.limit[i] {
+			if globalInflow[i] == 0 || r.st.Pwgts[i]+globalInflow[i] <= r.st.Limit[i] {
 				continue
 			}
-			extra := r.limit[i] - r.pwgts[i]
+			extra := r.st.Limit[i] - r.st.Pwgts[i]
 			if extra < 0 {
 				extra = 0
 			}
@@ -843,46 +748,10 @@ func (r *Refiner) acceptable(kind phaseKind, a, b int32, vw []int32, gain int64,
 		// reservation pass repairs.)
 		for c := 0; c < m; c++ {
 			i := int(b)*m + c
-			if r.pwgts[i]+ldelta[i]+int64(vw[c]) > r.limit[i] {
+			if r.st.Pwgts[i]+ldelta[i]+int64(vw[c]) > r.st.Limit[i] {
 				return false
 			}
 		}
 		return true
 	}
-}
-
-// gatherExternal accumulates the edge weight from owned vertex v to each
-// foreign subdomain (using ghost labels for remote neighbors); returns the
-// internal degree and whether v is a boundary vertex.
-func (r *Refiner) gatherExternal(v int32) (id int64, boundary bool) {
-	dg := r.dg
-	r.rows.Clear()
-	a := r.part[v]
-	for e := dg.Xadj[v]; e < dg.Xadj[v+1]; e++ {
-		b := r.label(dg.Adjncy[e])
-		if b == a {
-			id += int64(dg.Adjwgt[e])
-			continue
-		}
-		r.rows.Add(v, b, int64(dg.Adjwgt[e]))
-	}
-	return id, len(r.rows.Touched()) > 0
-}
-
-// balanceDelta mirrors the serial refiner: change in Σ_c (load/avg)² over
-// subdomains a and b when vw moves from a to b (negative = improves).
-func (r *Refiner) balanceDelta(a, b int32, vw []int32) float64 {
-	m := r.m
-	var before, after float64
-	for c := 0; c < m; c++ {
-		if r.avg[c] <= 0 {
-			continue
-		}
-		wa := float64(r.pwgts[int(a)*m+c])
-		wb := float64(r.pwgts[int(b)*m+c])
-		w := float64(vw[c])
-		before += (wa*wa + wb*wb) / (r.avg[c] * r.avg[c])
-		after += ((wa-w)*(wa-w) + (wb+w)*(wb+w)) / (r.avg[c] * r.avg[c])
-	}
-	return after - before
 }

@@ -1,6 +1,8 @@
 package prefine
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/gen"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pgraph"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func testProblem(m int) *graph.Graph {
@@ -152,13 +155,14 @@ func TestTrackedStateConsistency(t *testing.T) {
 		all, _ := c.AllgathervI32(part)
 		want := metrics.PartWeights(g, all, 6)
 		for i := range want {
-			if r.pwgts[i] != want[i] {
-				t.Errorf("rank %d: pwgts[%d] = %d, recount %d", c.Rank(), i, r.pwgts[i], want[i])
+			if r.st.Pwgts[i] != want[i] {
+				t.Errorf("rank %d: pwgts[%d] = %d, recount %d", c.Rank(), i, r.st.Pwgts[i], want[i])
 			}
 		}
+		ghosts := r.st.Labels[dg.NLocal():]
 		for slot, gid := range dg.GhostGlobal {
-			if r.ghostPart[slot] != all[gid] {
-				t.Errorf("rank %d: ghost %d label %d, owner says %d", c.Rank(), gid, r.ghostPart[slot], all[gid])
+			if ghosts[slot] != all[gid] {
+				t.Errorf("rank %d: ghost %d label %d, owner says %d", c.Rank(), gid, ghosts[slot], all[gid])
 			}
 		}
 	})
@@ -217,4 +221,67 @@ func TestSliceSmartScheme(t *testing.T) {
 	smart := metrics.EdgeCut(g, part)
 	plain := metrics.EdgeCut(g, runRefine(t, g, init, 8, 8, Options{Tol: 0.05, Scheme: Slice}))
 	t.Logf("slice=%d slice-smart=%d", plain, smart)
+}
+
+// TestSweepGateSkipsBoundedRows is the work test of the row-bound gate,
+// which the outputs alone cannot show: on a Type 1 mesh at p=4, the up
+// sweeps of every pass after the first gather fewer vertices (maxRow > id)
+// than they have candidates (ed > id), summed over the ranks.
+func TestSweepGateSkipsBoundedRows(t *testing.T) {
+	g := testProblem(3)
+	init := initialPartition(g, 8)
+	tr := trace.New("test")
+	mpi.Run(4, mpi.Zero(), func(c *mpi.Comm) {
+		dg := pgraph.Distribute(c, g)
+		part := make([]int32, dg.NLocal())
+		copy(part, init[dg.First():int(dg.First())+dg.NLocal()])
+		r := NewRefiner(dg, part, 8, Options{Tol: 0.05, Trace: tr.Rank(c.Rank())})
+		r.Refine(rng.New(9).Derive(uint64(c.Rank())))
+	})
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var exported struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Tid  int    `json:"tid"`
+			Args struct {
+				Candidates, Gathered *int
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &exported); err != nil {
+		t.Fatal(err)
+	}
+	var candidates, gathered []int // per pass, summed over ranks
+	passOf := map[int]int{}        // next pass index per rank
+	for _, e := range exported.TraceEvents {
+		if e.Name != "refine.pass" || e.Ph != "E" {
+			continue
+		}
+		if e.Args.Candidates == nil || e.Args.Gathered == nil {
+			t.Fatalf("rank %d: refine.pass span ends without candidates and gathered", e.Tid)
+		}
+		pass := passOf[e.Tid]
+		passOf[e.Tid]++
+		if pass == len(candidates) {
+			candidates, gathered = append(candidates, 0), append(gathered, 0)
+		}
+		candidates[pass] += *e.Args.Candidates
+		gathered[pass] += *e.Args.Gathered
+	}
+	if len(candidates) < 2 {
+		t.Fatalf("%d refinement passes ran, want at least 2", len(candidates))
+	}
+	for pass := range candidates {
+		t.Logf("pass %d: %d candidates, %d gathered", pass, candidates[pass], gathered[pass])
+		if gathered[pass] > candidates[pass] {
+			t.Errorf("pass %d gathered %d vertices, more than its %d candidates", pass, gathered[pass], candidates[pass])
+		}
+		if pass > 0 && gathered[pass] >= candidates[pass] {
+			t.Errorf("pass %d gathered %d of %d candidates, want fewer", pass, gathered[pass], candidates[pass])
+		}
+	}
 }
